@@ -9,8 +9,9 @@ PLRGs of three sizes:
   sources, ``repro.graph.kernels.bfs_levels`` vs. the dict BFS
   ``repro.graph.traversal.bfs_distances``;
 * **Expansion series** — the engine's full ball-growing expansion
-  computation, ``MetricEngine(use_csr=True)`` vs. the dict oracle
-  engine (``use_csr=False``), serial, single process, identical bits.
+  computation, ``MetricEngine`` vs. the dict-of-sets
+  ``repro.testing.OracleEngine``, serial, single process, identical
+  bits.
 * **Metric cores** — the four CSR-native metric kernels
   (``resilience_csr``, ``distortion_csr``, ``vertex_cover_size_csr``,
   ``count_biconnected_csr``) vs. their dict twins on the same large
@@ -60,6 +61,7 @@ from repro.runtime import shm
 from repro.graph.traversal import bfs_distances
 from repro.metrics.distortion import distortion_of
 from repro.metrics.resilience import resilience_of
+from repro.testing import OracleEngine
 
 pytestmark = [pytest.mark.slow, pytest.mark.perf]
 
@@ -160,9 +162,7 @@ def _bench_expansion(graph, csr):
     request = [MetricRequest("expansion", num_centers=EXPANSION_CENTERS, seed=SEED)]
 
     def run_dict():
-        return MetricEngine(workers=0, use_cache=False, use_csr=False).compute(
-            graph, request
-        )
+        return OracleEngine().compute(graph, request)
 
     def run_csr():
         return MetricEngine(workers=0, use_cache=False).compute(csr, request)

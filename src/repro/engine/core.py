@@ -41,10 +41,17 @@ compact CSR arrays instead of re-pickling the dict-of-sets graph.  Ball
 subgraphs are induced on the *canonical thawed* graph (``csr.thaw()``),
 so member ordering — and therefore every downstream float — is a pure
 function of graph content, independent of adjacency-set insertion
-history.  ``MetricEngine(use_csr=False)`` swaps the BFS producer for
-the legacy dict implementation while sharing all other code: the dict
-path is the oracle the CSR kernels are tested bitwise-equal against
-(``repro selfcheck --family csr``).
+history.
+
+Evaluation follows one rule.  For a ball that is not a policy ball, a
+metric with a ``batch_evaluator`` runs it once per center over the
+whole radius schedule, fused into one
+:class:`~repro.graph.kernels.FusedBatch`.  Every other case — clustering,
+path length, and every policy ball of every metric — runs the metric's
+dict ``evaluator`` on the canonical thawed ball.  The dict-only engine
+that the batch kernels are tested bitwise-equal against is
+:class:`repro.testing.OracleEngine`; it replaces the per-center function
+(``MetricEngine._center_task``) and nothing else.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ import hashlib
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,7 +71,6 @@ from repro.generators.base import make_rng
 from repro.graph import kernels
 from repro.graph.core import Graph
 from repro.graph.csr import CSRGraph, csr_from_graph
-from repro.graph.traversal import bfs_distances
 # _policy_ball_from_dag is the canonical Appendix E ball constructor; the
 # engine reuses it so policy balls stay identical to the legacy path.
 from repro.metrics.balls import _policy_ball_from_dag, sample_centers
@@ -134,20 +140,12 @@ class _ComputeContext:
     CSR arrays — or, after :meth:`publish`, just a shared-memory
     :class:`~repro.runtime.shm.SegmentHandle` that workers attach to
     zero-copy.  Each worker thaws the canonical ``Graph`` at most once.
-    ``use_csr=False`` selects the dict-of-sets BFS oracle;
-    ``use_batch=False`` keeps the per-ball kernel loop instead of the
-    fused batch entry points.  Every other step is shared, so a
-    mismatch isolates the layer that diverged.
     """
 
-    __slots__ = ("csr", "use_csr", "use_batch", "_graph", "_segment")
+    __slots__ = ("csr", "_graph", "_segment")
 
-    def __init__(
-        self, csr: CSRGraph, use_csr: bool = True, use_batch: bool = True
-    ):
+    def __init__(self, csr: CSRGraph):
         self.csr = csr
-        self.use_csr = bool(use_csr)
-        self.use_batch = bool(use_batch)
         self._graph: Optional[Graph] = None
         self._segment: Optional[_shm.SharedGraph] = None
 
@@ -193,20 +191,13 @@ class _ComputeContext:
     def __reduce__(self):
         segment = self._segment
         if segment is not None and segment.alive:
-            return (
-                _ctx_from_handle,
-                (segment.handle, self.use_csr, self.use_batch),
-            )
-        return (_ComputeContext, (self.csr, self.use_csr, self.use_batch))
+            return (_ctx_from_handle, (segment.handle,))
+        return (_ComputeContext, (self.csr,))
 
 
-def _ctx_from_handle(
-    handle: "_shm.SegmentHandle", use_csr: bool, use_batch: bool
-) -> _ComputeContext:
+def _ctx_from_handle(handle: "_shm.SegmentHandle") -> _ComputeContext:
     """Worker-side unpickle target: attach instead of copying arrays."""
-    return _ComputeContext(
-        _shm.attach(handle), use_csr=use_csr, use_batch=use_batch
-    )
+    return _ComputeContext(_shm.attach(handle))
 
 
 def _center_distances(ctx: _ComputeContext, plan: _Plan, ci: int):
@@ -214,8 +205,7 @@ def _center_distances(ctx: _ComputeContext, plan: _Plan, ci: int):
 
     Returns ``(dist, dag)``: ``dist`` is a dense int32 array over node
     indices (``-1`` = unreached); ``dag`` is the policy DAG for policy
-    plans, else ``None``.  The CSR kernel and the dict oracle fill the
-    same array shape, so everything downstream is representation-blind.
+    plans, else ``None``.
     """
     center = plan.centers[ci]
     csr = ctx.csr
@@ -227,12 +217,7 @@ def _center_distances(ctx: _ComputeContext, plan: _Plan, ci: int):
             if dist[i] < 0 or d < dist[i]:
                 dist[i] = d
         return dist, dag
-    if ctx.use_csr:
-        return kernels.bfs_levels(csr, csr.index_of(center)), None
-    dist = np.full(csr.number_of_nodes(), -1, dtype=np.int32)
-    for node, d in bfs_distances(ctx.graph, center).items():
-        dist[csr.index_of(node)] = d
-    return dist, None
+    return kernels.bfs_levels(csr, csr.index_of(center)), None
 
 
 def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
@@ -264,8 +249,8 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
                 )
                 for member in group.members
             }
-            # First pass: pin the (radius, size) schedule so the CSR path
-            # can slice every ball of this group in one batched call.
+            # First pass: pin the (radius, size) schedule so every ball of
+            # this group can be sliced and fused in one batched call.
             schedule: List[Tuple[int, int]] = []
             prev_size = 0
             for radius in range(1, max_radius + 1):
@@ -279,58 +264,39 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
                     break
                 schedule.append((radius, size))
 
-            # Kernelized metrics run on batched sub-CSRs (bitwise equal to
-            # the dict path — each kernel twin makes the same rng draws on
-            # the same canonical index order).  With ``use_batch`` the
-            # whole schedule of a member's balls is evaluated in one
-            # fused call before the per-radius loop: each member draws
-            # from its *own* rng stream, so consuming one member's
-            # stream across all balls up front is the same draw
-            # sequence the per-ball loop makes.  Policy balls (dag) and
-            # the dict oracle path keep the per-radius subgraph
-            # construction; the dict ball is built lazily, only for
-            # members without a kernel twin.
-            batch = None
+            # The one evaluator rule.  Outside policy balls, a metric
+            # with a batch evaluator runs once over the member's whole
+            # fused schedule, before the per-radius loop (bitwise equal
+            # to the dict evaluator: each member draws from its *own*
+            # rng stream, so consuming it across all balls up front is
+            # the draw sequence the per-ball loop makes).  Everything
+            # else runs the dict evaluator on a lazily built ball.
+            fused = None
             fused_values: Dict[int, List[float]] = {}
-            if ctx.use_csr and dag is None and schedule:
-                if any(
-                    METRICS[member.name].kernel_evaluator is not None
-                    for member in group.members
-                ):
-                    batch = kernels.BallBatch(
-                        ctx.csr,
-                        [
-                            kernels.ball_members(dist, radius)
-                            for radius, _size in schedule
-                        ],
+            for member in group.members:
+                spec = METRICS[member.name]
+                if dag is not None or not schedule or spec.batch_evaluator is None:
+                    continue
+                if fused is None:
+                    fused = kernels.FusedBatch(
+                        kernels.BallBatch(
+                            ctx.csr,
+                            [
+                                kernels.ball_members(dist, radius)
+                                for radius, _size in schedule
+                            ],
+                        )
                     )
-                    if ctx.use_batch:
-                        fused = None
-                        for member in group.members:
-                            spec = METRICS[member.name]
-                            if spec.batch_evaluator is None:
-                                continue
-                            if fused is None:
-                                fused = kernels.FusedBatch(batch)
-                            fused_values[member.rid] = spec.batch_evaluator(
-                                fused, rngs[member.rid], member.eval_params
-                            )
+                fused_values[member.rid] = spec.batch_evaluator(
+                    fused, rngs[member.rid], member.eval_params
+                )
             contributions: List[Tuple[int, int, Dict[int, float]]] = []
             for bi, (radius, size) in enumerate(schedule):
-                sub = None
                 ball = None
                 values: Dict[int, float] = {}
                 for member in group.members:
-                    spec = METRICS[member.name]
                     if member.rid in fused_values:
                         values[member.rid] = fused_values[member.rid][bi]
-                        continue
-                    if batch is not None and spec.kernel_evaluator is not None:
-                        if sub is None:
-                            sub = batch.sub_csr(bi)
-                        values[member.rid] = spec.kernel_evaluator(
-                            sub, rngs[member.rid], member.eval_params
-                        )
                         continue
                     if ball is None:
                         if dag is not None:
@@ -344,7 +310,7 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
                             ball = ctx.graph.subgraph(
                                 [nodes[i] for i in members]
                             )
-                    values[member.rid] = spec.evaluator(
+                    values[member.rid] = METRICS[member.name].evaluator(
                         ball, rngs[member.rid], member.eval_params
                     )
                 contributions.append((radius, size, values))
@@ -353,24 +319,29 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
 
 
 # ----------------------------------------------------------------------
-# Process-pool plumbing.  Workers receive the compute context (compact
-# CSR arrays, thawed lazily in-worker) and plans once via the pool
-# initializer and are then sent only (plan, center) indices.
+# Process-pool plumbing.  Workers receive the per-center function, the
+# compute context (compact CSR arrays, thawed lazily in-worker) and plans
+# once via the pool initializer and are then sent only (plan, center)
+# indices.
 # ----------------------------------------------------------------------
 
+_WORKER_TASK: Optional[Callable] = None
 _WORKER_CTX: Optional[_ComputeContext] = None
 _WORKER_PLANS: Optional[List[_Plan]] = None
 
 
-def _pool_init(ctx: _ComputeContext, plans: List[_Plan]) -> None:
-    global _WORKER_CTX, _WORKER_PLANS
+def _pool_init(
+    center_task: Callable, ctx: _ComputeContext, plans: List[_Plan]
+) -> None:
+    global _WORKER_TASK, _WORKER_CTX, _WORKER_PLANS
+    _WORKER_TASK = center_task
     _WORKER_CTX = ctx
     _WORKER_PLANS = plans
 
 
 def _pool_task(task: Tuple[int, int]):
     pi, ci = task
-    return _compute_center(_WORKER_CTX, _WORKER_PLANS[pi], ci)
+    return _WORKER_TASK(_WORKER_CTX, _WORKER_PLANS[pi], ci)
 
 
 def _expansion_series(
@@ -413,17 +384,6 @@ class MetricEngine:
         Number of worker processes to fan ball centers across.  ``0``
         (the default) computes serially in-process; results are
         identical either way.
-    use_csr:
-        Run BFS through the vectorized CSR kernels (the default).
-        ``False`` swaps in the legacy dict-of-sets BFS — the oracle
-        path; results are bitwise identical either way.
-    use_batch:
-        Evaluate each center's whole radius schedule through the fused
-        batch kernels (one call per metric instead of one per ball; the
-        default).  ``False`` keeps the per-ball kernel loop; results
-        are bitwise identical either way.  ``None`` reads the
-        ``REPRO_BATCH`` environment variable (``0``/``off`` disables).
-        Implies nothing without ``use_csr``.
     transport:
         How workers receive the frozen graph: ``"auto"`` (the default)
         publishes it to a shared-memory segment when possible and falls
@@ -469,6 +429,12 @@ class MetricEngine:
     ['expansion', 'resilience']
     """
 
+    #: The per-center computation ``(ctx, plan, ci) -> result`` that
+    #: every execution path (serial, pool, supervisor) runs.  It is the
+    #: engine's one seam: :class:`repro.testing.OracleEngine` swaps in
+    #: the dict-of-sets oracle here.
+    _center_task = staticmethod(_compute_center)
+
     def __init__(
         self,
         workers: int = 0,
@@ -476,18 +442,11 @@ class MetricEngine:
         cache_dir: Optional[str] = None,
         runtime: Optional[RuntimePolicy] = None,
         journal: Optional[Union[Journal, str]] = None,
-        use_csr: bool = True,
         cache: Optional[SeriesCache] = None,
-        use_batch: Optional[bool] = None,
         transport: Optional[str] = None,
     ):
         self.workers = int(workers)
         self.use_cache = bool(use_cache)
-        self.use_csr = bool(use_csr)
-        if use_batch is None:
-            env = os.environ.get("REPRO_BATCH")
-            use_batch = env is None or env.lower() not in ("0", "off", "false")
-        self.use_batch = bool(use_batch) and self.use_csr
         if transport is None:
             transport = os.environ.get("REPRO_TRANSPORT") or "auto"
         if transport not in ("auto", "shm", "copy"):
@@ -537,11 +496,7 @@ class MetricEngine:
                 f"duplicate metric names in one compute call: {names}"
             )
         resolved = [self._resolve(graph, req) for req in reqs]
-        ctx = _ComputeContext(
-            csr_from_graph(graph),
-            use_csr=self.use_csr,
-            use_batch=self.use_batch,
-        )
+        ctx = _ComputeContext(csr_from_graph(graph))
 
         if self.use_cache:
             fingerprint = graph_fingerprint(graph)
@@ -712,7 +667,7 @@ class MetricEngine:
                     flat = self._execute_parallel(ctx, plans, tasks)
                 else:
                     flat = [
-                        _compute_center(ctx, plans[pi], ci)
+                        self._center_task(ctx, plans[pi], ci)
                         for pi, ci in tasks
                     ]
         finally:
@@ -736,12 +691,12 @@ class MetricEngine:
             pool = ProcessPoolExecutor(
                 max_workers=max_workers,
                 initializer=_pool_init,
-                initargs=(ctx, plans),
+                initargs=(self._center_task, ctx, plans),
             )
         except (OSError, PermissionError):  # pragma: no cover - sandboxes
             # Environments that forbid subprocesses fall back to the
             # serial path; results are identical by construction.
-            return [_compute_center(ctx, plans[pi], ci) for pi, ci in tasks]
+            return [self._center_task(ctx, plans[pi], ci) for pi, ci in tasks]
         try:
             with pool:
                 return list(pool.map(_pool_task, tasks))
@@ -785,7 +740,7 @@ class MetricEngine:
                     self._encode_center_result(plans[pi], result),
                 )
 
-        supervisor = Supervisor(self.runtime, self.workers, _compute_center)
+        supervisor = Supervisor(self.runtime, self.workers, self._center_task)
         return supervisor.run(
             ctx, plans, tasks, metric_names, preloaded, on_done
         )

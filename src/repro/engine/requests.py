@@ -17,6 +17,14 @@ Two kinds of metric exist:
     Needs the induced ball subgraph at every radius (resilience,
     distortion, vertex cover, biconnectivity, clustering, path length).
 
+Every ball metric has a dict ``evaluator``.  The four whose inner loops
+have CSR kernels (resilience, distortion, vertex cover, biconnectivity)
+also have a ``batch_evaluator`` that takes one center's whole radius
+schedule as a :class:`~repro.graph.kernels.FusedBatch`; the engine uses
+it for every ball that is not a policy ball.  The dict evaluators are
+what policy balls, clustering and path length run, and what the
+:class:`repro.testing.OracleEngine` runs everywhere.
+
 The registry also records each metric's legacy keyword defaults and its
 random-number protocol, so the engine reproduces the legacy per-metric
 functions exactly (same centers, same floats) — see
@@ -26,22 +34,20 @@ functions exactly (same centers, same floats) — see
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import random
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.graph.components import count_biconnected_components
 from repro.graph.core import Graph
 from repro.graph.cover import vertex_cover_size
-from repro.graph.csr import CSRGraph
 from repro.graph.kernels import (
     FusedBatch,
     batch_biconnected_counts,
     batch_vertex_cover_sizes,
-    count_biconnected_csr,
-    vertex_cover_size_csr,
 )
-from repro.graph.kernels_flow import resilience_csr, resilience_csr_batch
-from repro.graph.kernels_trees import distortion_csr, distortion_csr_batch
+from repro.graph.kernels_flow import resilience_csr_batch
+from repro.graph.kernels_trees import distortion_csr_batch
 from repro.metrics.clustering import clustering_coefficient
 from repro.metrics.distortion import distortion_of
 from repro.metrics.pathlength import average_ball_path_length
@@ -50,11 +56,6 @@ from repro.metrics.resilience import resilience_of
 # A per-ball evaluator: (ball subgraph, per-center RNG or None, params).
 Evaluator = Callable[[Graph, Optional[random.Random], Mapping[str, Any]], float]
 
-# A CSR kernel evaluator: (ball sub-CSR, per-center RNG or None, params).
-KernelEvaluator = Callable[
-    [CSRGraph, Optional[random.Random], Mapping[str, Any]], float
-]
-
 # A fused batch evaluator: (whole fused batch, per-center RNG or None,
 # params) -> one float per ball, aligned with the batch's schedule.
 BatchEvaluator = Callable[
@@ -62,20 +63,27 @@ BatchEvaluator = Callable[
 ]
 
 
+# Integer parameters and their least valid value (``max_ball_size`` may
+# also be ``None``: no cap).
+_INT_PARAMS = (
+    ("num_centers", 0),
+    ("min_ball_size", 0),
+    ("max_ball_size", 0),
+    ("trials", 1),
+)
+
+
 @dataclasses.dataclass(frozen=True)
 class MetricSpec:
     """How the engine computes one named metric.
 
-    ``evaluator`` is the dict-of-sets oracle; ``kernel_evaluator``, when
-    present, is its CSR twin — the engine dispatches it on the batched
-    ball sub-CSRs when ``use_csr`` is on, and the two must return
-    bitwise-identical floats (the ``kernels`` selfcheck family and
-    ``tests/test_kernels_metrics.py`` enforce it).  ``batch_evaluator``,
+    ``evaluator`` evaluates one dict-of-sets ball.  ``batch_evaluator``,
     when present, evaluates one center's *whole* fused radius schedule
-    in a single call (``use_batch``); it must return the same floats as
-    mapping the kernel evaluator over ``sub_csr`` with the same rng —
-    the ``batch`` selfcheck family and ``tests/test_fused_batch.py``
-    enforce that too.
+    in a single call and returns one float per ball; it must return the
+    same floats as mapping ``evaluator`` over the canonical thawed balls
+    with the same rng — the ``kernels`` selfcheck family,
+    ``tests/test_kernels_metrics.py`` and ``tests/test_fused_batch.py``
+    enforce it.
     """
 
     name: str
@@ -83,11 +91,15 @@ class MetricSpec:
     uses_rng: bool
     defaults: Tuple[Tuple[str, Any], ...]
     evaluator: Optional[Evaluator] = None
-    kernel_evaluator: Optional[KernelEvaluator] = None
     batch_evaluator: Optional[BatchEvaluator] = None
 
     def resolve_params(self, overrides: Mapping[str, Any]) -> Dict[str, Any]:
-        """Defaults merged with ``overrides``; unknown keys are an error."""
+        """Defaults merged with ``overrides``.
+
+        Unknown keys and shared parameters of the wrong type raise
+        ``TypeError``; out-of-range values raise ``ValueError``.  Values
+        are never coerced, so a valid request keeps its cache key.
+        """
         params = dict(self.defaults)
         allowed = set(params)
         unknown = set(overrides) - allowed
@@ -97,6 +109,35 @@ class MetricSpec:
                 f"{sorted(unknown)}; accepts {sorted(allowed)}"
             )
         params.update(overrides)
+        for key, low in _INT_PARAMS:
+            if key not in params or (key == "max_ball_size" and params[key] is None):
+                continue
+            value = params[key]
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(
+                    f"metric {self.name!r}: {key} must be an integer, "
+                    f"got {value!r}"
+                )
+            if value < low:
+                raise ValueError(
+                    f"metric {self.name!r}: {key} must be at least {low}, "
+                    f"got {value}"
+                )
+        seed = params.get("seed")
+        if seed is not None and (
+            isinstance(seed, bool)
+            or not isinstance(seed, (int, str, random.Random))
+        ):
+            raise TypeError(
+                f"metric {self.name!r}: seed must be None, an int, a str "
+                f"or a random.Random, got {seed!r}"
+            )
+        centers = params.get("centers")
+        if centers is not None and not isinstance(centers, (list, tuple)):
+            raise TypeError(
+                f"metric {self.name!r}: centers must be None or a list of "
+                f"nodes, got {centers!r}"
+            )
         return params
 
 
@@ -122,22 +163,6 @@ def _eval_clustering(ball, rng, params):
 
 def _eval_path_length(ball, rng, params):
     return average_ball_path_length(ball)
-
-
-def _kernel_resilience(sub, rng, params):
-    return resilience_csr(sub, rng=rng, trials=params["trials"])
-
-
-def _kernel_distortion(sub, rng, params):
-    return distortion_csr(sub, rng=rng)
-
-
-def _kernel_vertex_cover(sub, rng, params):
-    return float(vertex_cover_size_csr(sub))
-
-
-def _kernel_biconnectivity(sub, rng, params):
-    return float(count_biconnected_csr(sub))
 
 
 def _batch_resilience(fused, rng, params):
@@ -192,7 +217,6 @@ METRICS: Dict[str, MetricSpec] = {
             uses_rng=True,
             defaults=_ball_defaults(10, 1500, trials=3),
             evaluator=_eval_resilience,
-            kernel_evaluator=_kernel_resilience,
             batch_evaluator=_batch_resilience,
         ),
         MetricSpec(
@@ -201,7 +225,6 @@ METRICS: Dict[str, MetricSpec] = {
             uses_rng=True,
             defaults=_ball_defaults(10, 1500),
             evaluator=_eval_distortion,
-            kernel_evaluator=_kernel_distortion,
             batch_evaluator=_batch_distortion,
         ),
         MetricSpec(
@@ -210,7 +233,6 @@ METRICS: Dict[str, MetricSpec] = {
             uses_rng=False,
             defaults=_ball_defaults(10, 2500),
             evaluator=_eval_vertex_cover,
-            kernel_evaluator=_kernel_vertex_cover,
             batch_evaluator=_batch_vertex_cover,
         ),
         MetricSpec(
@@ -219,7 +241,6 @@ METRICS: Dict[str, MetricSpec] = {
             uses_rng=False,
             defaults=_ball_defaults(10, 2500),
             evaluator=_eval_biconnectivity,
-            kernel_evaluator=_kernel_biconnectivity,
             batch_evaluator=_batch_biconnectivity,
         ),
         MetricSpec(

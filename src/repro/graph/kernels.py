@@ -23,7 +23,7 @@ per-node hash-table BFS into frontier-at-a-time array operations:
 * :func:`count_biconnected_csr` — array-stack Tarjan block counting.
 
 Every kernel is bitwise-equivalent to the dict-of-sets implementation it
-replaces (asserted by ``repro selfcheck --family csr`` and the property
+replaces (asserted by ``repro selfcheck --family kernels`` and the property
 tests in ``tests/test_graph_csr.py``): distances, memberships and counts
 are identical; only internal ordering conventions are canonicalised to
 ascending node index.
@@ -414,7 +414,7 @@ class FusedBatch:
     The canonical order is the one :meth:`BallBatch.sub_csr` already
     fixes (ascending original node index within each ball), so every
     fused kernel is bitwise-comparable to a per-ball loop over
-    ``sub_csr(i)`` — asserted by the ``batch`` selfcheck family and
+    ``sub_csr(i)`` — asserted by the ``kernels`` selfcheck family and
     ``tests/test_fused_batch.py``.
     """
 

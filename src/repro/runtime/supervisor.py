@@ -152,8 +152,9 @@ class Supervisor:
     """Run per-center tasks under a :class:`RuntimePolicy`.
 
     ``compute`` is the serial per-task callable ``(graph, plan, ci) ->
-    result`` (the engine passes its ``_compute_center``); it must be a
-    module-level function so worker processes can unpickle it.
+    result`` (the engine passes its per-center function,
+    ``MetricEngine._center_task``); it must be a module-level function
+    so worker processes can unpickle it.
     """
 
     def __init__(

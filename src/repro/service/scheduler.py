@@ -30,6 +30,7 @@ draining of whatever is queued.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import threading
@@ -45,6 +46,7 @@ from repro.graph.io import read_edgelist
 from repro.runtime import RuntimePolicy
 from repro.runtime import shm as _shm
 from repro.service.protocol import (
+    ERR_BAD_REQUEST,
     ERR_BUSY,
     ERR_DRAINING,
     ERR_FAILED,
@@ -52,6 +54,15 @@ from repro.service.protocol import (
     ProtocolError,
     Request,
 )
+
+
+@contextlib.contextmanager
+def _bad_request():
+    """Answer a parameter ``TypeError``/``ValueError`` as ``bad-request``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(ERR_BAD_REQUEST, str(exc)) from exc
 
 
 class GraphStore:
@@ -335,10 +346,8 @@ class CoalescingScheduler:
                 f"unknown metric {name!r}; available: {sorted(METRICS)}",
             )
         params = request.payload["params"]
-        try:
+        with _bad_request():
             resolved = spec.resolve_params(params)
-        except TypeError as exc:
-            raise ProtocolError(ERR_FAILED, str(exc)) from exc
         csr, fingerprint = self.graphs.load(request.payload["graph"])
         key = cache_key(fingerprint, name, resolved)
         return Job(
@@ -351,10 +360,11 @@ class CoalescingScheduler:
 
     def _prepare_signature(self, request: Request) -> Job:
         payload = request.payload
+        with _bad_request():
+            reqs = signature_requests(
+                payload["centers"], payload["max_ball"], payload["seed"]
+            )
         csr, fingerprint = self.graphs.load(payload["graph"])
-        reqs = signature_requests(
-            payload["centers"], payload["max_ball"], payload["seed"]
-        )
         keys = []
         for req in reqs:
             resolved = METRICS[req.name].resolve_params(req.params)
@@ -374,6 +384,10 @@ class CoalescingScheduler:
             raise ProtocolError(
                 ERR_FAILED, "compare needs a non-empty list of edge-list paths"
             )
+        with _bad_request():
+            # The report pass builds these requests per graph; resolving
+            # them here rejects bad centers/max_ball before any load.
+            signature_requests(payload["centers"], payload["max_ball"], None)
         fingerprints = []
         for path in graphs:
             _csr, fingerprint = self.graphs.load(path)

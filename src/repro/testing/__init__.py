@@ -6,13 +6,15 @@ distortion) being computed correctly; this subsystem is the standing
 gate that keeps them that way as the engine grows backends and caches:
 
 * :mod:`repro.testing.oracles` — exhaustive, obviously-correct
-  reference implementations valid on tiny graphs;
+  reference implementations valid on tiny graphs, plus
+  :class:`~repro.testing.oracles.OracleEngine`, the dict-of-sets engine
+  the production metric engine is checked bitwise against;
 * :mod:`repro.testing.strategies` — Hypothesis graph generators for the
   property suites (requires the ``hypothesis`` dev dependency);
 * :mod:`repro.testing.invariants` — metamorphic checks: paper-level
   series facts, relabelling invariance, engine path equivalence;
 * :mod:`repro.testing.selfcheck` — the ``repro selfcheck`` command:
-  seeded differential fuzzing across five check families.
+  seeded differential fuzzing across ten check families.
 
 See ``docs/TESTING.md`` for the full picture, including the checklist
 for adding a new metric safely.
@@ -26,6 +28,7 @@ from repro.testing.invariants import (
 )
 from repro.testing.oracles import (
     ORACLE_MAX_NODES,
+    OracleEngine,
     OracleSizeError,
     count_crossing_edges,
     heuristic_balance_bound,
@@ -49,6 +52,7 @@ from repro.testing.selfcheck import (
 
 __all__ = [
     "ORACLE_MAX_NODES",
+    "OracleEngine",
     "OracleSizeError",
     "count_crossing_edges",
     "heuristic_balance_bound",

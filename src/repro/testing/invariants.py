@@ -21,9 +21,10 @@ implementation, independent of the topology under test:
   tie-breaking (vertex cover) are excluded here and bounded against
   oracles in the property tests instead;
 * engine equivalence: ``MetricEngine(workers=N)``, with or without the
-  cache, and the dict-of-sets oracle engine (``use_csr=False``) must all
-  reproduce ``workers=0`` and the legacy per-metric path bitwise (the
-  PR-1 determinism contract, extended to the CSR representation).
+  cache, and the dict-of-sets :class:`~repro.testing.OracleEngine` must
+  all reproduce ``workers=0`` and the legacy per-metric path bitwise
+  (the engine's determinism contract, extended to the CSR
+  representation and the fused batch kernels).
 """
 
 from __future__ import annotations
@@ -197,14 +198,15 @@ def check_engine_equivalence(
     The serial engine (CSR kernels) is the reference; the parallel
     engine, the cached engine (cold and warm), the journaled engine
     (cold and resumed — the resume must recompute **zero** centers), and
-    the dict-of-sets oracle engine (``use_csr=False``, which also
-    disables every metric kernel) must all reproduce it exactly.  Also
+    the dict-of-sets :class:`~repro.testing.OracleEngine` (dict BFS and
+    dict evaluators, no metric kernel) must all reproduce it exactly.  Also
     cross-checks RNG-free ball metrics against the legacy
     :func:`repro.metrics.balls.ball_growing_series` machinery, closing
     the loop back to the pre-engine implementation.
     """
     from repro.engine import METRICS, MetricEngine, MetricRequest
     from repro.metrics.balls import ball_growing_series
+    from repro.testing.oracles import OracleEngine
 
     def requests():
         reqs = []
@@ -226,14 +228,10 @@ def check_engine_equivalence(
                 f"engine(workers={workers}) != engine(workers=0) for {name}"
             )
 
-    oracle = MetricEngine(workers=0, use_cache=False, use_csr=False).compute(
-        graph, requests()
-    )
+    oracle = OracleEngine().compute(graph, requests())
     for name in metrics:
         if serial[name] != oracle[name]:
-            problems.append(
-                f"engine(use_csr=True) != engine(use_csr=False) for {name}"
-            )
+            problems.append(f"engine != OracleEngine for {name}")
 
     with tempfile.TemporaryDirectory(prefix="repro-selfcheck-cache-") as tmp:
         cached_engine = MetricEngine(workers=0, use_cache=True, cache_dir=tmp)

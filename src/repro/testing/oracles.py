@@ -12,14 +12,24 @@ implementations can be checked differentially (see
 :mod:`repro.testing.selfcheck` and ``tests/test_property_graph.py``).
 
 Oracles deliberately share no code with the implementations they check.
+The one exception is :class:`OracleEngine`, the dict-of-sets twin of
+the metric engine: it shares the engine's planning and merge and the
+metrics' dict evaluators, and replaces only the CSR BFS and the fused
+batch kernels.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.engine import METRICS, MetricEngine
 from repro.graph.core import Graph
+from repro.graph.traversal import bfs_distances
+# The canonical Appendix E ball constructor, shared with the engine.
+from repro.metrics.balls import _policy_ball_from_dag
+from repro.routing.policy import policy_dag
 
 Node = Hashable
 
@@ -327,3 +337,90 @@ def oracle_exact_distortion(graph: Graph) -> float:
     if best == float("inf"):
         raise ValueError("graph is not connected; it has no spanning tree")
     return best
+
+
+# ----------------------------------------------------------------------
+# The dict-of-sets engine
+# ----------------------------------------------------------------------
+
+def oracle_compute_center(ctx, plan, ci: int):
+    """One center of an engine plan, computed on dict-of-sets graphs only.
+
+    The twin of the engine's per-center function, with the same
+    ``(counts_at, group_contributions)`` result: dict BFS
+    (:func:`~repro.graph.traversal.bfs_distances`) instead of the CSR
+    kernel, and every metric's dict ``evaluator`` on every ball instead
+    of the fused batch kernels.  Balls are induced on the canonical
+    thawed graph in ascending node-index order, and each metric draws
+    from its own per-center RNG stream, as the engine's determinism
+    contract requires.
+    """
+    center = plan.centers[ci]
+    graph = ctx.graph
+    dag = None
+    if plan.rels is not None:
+        dag = policy_dag(graph, plan.rels, center)
+        dist: Dict[Node, int] = {}
+        for (node, _state), d in dag.state_dist.items():
+            dist[node] = min(d, dist.get(node, d))
+    else:
+        dist = bfs_distances(graph, center)
+    per_level = [0] * (max(dist.values(), default=0) + 1)
+    for d in dist.values():
+        per_level[d] += 1
+    counts_at = per_level if plan.distance_rids else None
+
+    canonical = ctx.csr.node_list()
+    group_contributions = []
+    for group in plan.groups:
+        rngs = {
+            member.rid: (
+                random.Random(member.center_seeds[ci])
+                if member.center_seeds is not None
+                else None
+            )
+            for member in group.members
+        }
+        contributions = []
+        size = per_level[0]
+        for radius in range(1, len(per_level)):
+            if per_level[radius] == 0:
+                continue  # the ball did not grow
+            size += per_level[radius]
+            if size < group.min_ball_size:
+                continue
+            if group.max_ball_size is not None and size > group.max_ball_size:
+                break
+            if dag is not None:
+                ball = _policy_ball_from_dag(dag, radius)
+            else:
+                ball = graph.subgraph(
+                    [node for node in canonical if dist.get(node, radius + 1) <= radius]
+                )
+            values = {
+                member.rid: METRICS[member.name].evaluator(
+                    ball, rngs[member.rid], member.eval_params
+                )
+                for member in group.members
+            }
+            contributions.append((radius, size, values))
+        group_contributions.append(contributions)
+    return counts_at, group_contributions
+
+
+class OracleEngine(MetricEngine):
+    """The dict-of-sets reference :class:`~repro.engine.MetricEngine`.
+
+    Same requests, planning, RNG streams, merge and ``last_run`` as the
+    production engine; only the per-center function differs
+    (:func:`oracle_compute_center`).  It runs serially and never
+    caches, so its answers cannot be served from the production
+    engine's cache.  Production results must equal this engine's
+    bitwise — the ``kernels`` selfcheck family, the engine-equivalence
+    invariant and ``tests/test_engine.py`` enforce it.
+    """
+
+    _center_task = staticmethod(oracle_compute_center)
+
+    def __init__(self):
+        super().__init__(workers=0, use_cache=False)

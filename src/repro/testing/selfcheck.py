@@ -1,6 +1,6 @@
 """The ``repro selfcheck`` differential/fuzzing harness.
 
-Runs twelve families of checks over seeded random inputs and reports a
+Runs ten families of checks over seeded random inputs and reports a
 single pass/fail verdict, so one command answers "are the metric
 implementations still trustworthy?":
 
@@ -25,11 +25,6 @@ implementations still trustworthy?":
     subsample of rounds; each check spins up a process pool).
 ``determinism``
     Same seed -> bitwise-identical generators, metrics and engine runs.
-``csr``
-    The frozen :class:`~repro.graph.csr.CSRGraph` representation vs.
-    the dict-of-sets oracle: freeze/thaw round-trips, vectorized BFS
-    distances, ball memberships, degree vectors, shortest-path counts
-    and the ``use_csr=True``/``False`` engines, all identical.
 ``streaming``
     The streaming :class:`~repro.generators.builder.GraphBuilder` vs.
     the dict build path: every registered generator emits the identical
@@ -37,24 +32,26 @@ implementations still trustworthy?":
     bit-identically to ``Graph.freeze()`` regardless of chunking, and
     the builder's incremental union-find agrees with ``is_connected``.
 ``kernels``
-    The CSR-native metric kernels vs. their pure-Python twins, in four
-    sub-streams mirroring the kernel modules: *flow* (batched
+    Every CSR kernel layer vs. its dict-of-sets twin, all bitwise, in
+    sub-streams: *csr* (the frozen :class:`~repro.graph.csr.CSRGraph`:
+    freeze/thaw round-trips, vectorized BFS distances, ball
+    memberships, degree vectors, shortest-path counts), *flow* (batched
     Edmonds–Karp max-flow/min-cut vs. Dinic, incl. the big-int overflow
     fallback, plus ``bisection_cut_csr``/``resilience_csr`` vs. the
     multilevel partitioner under a shared RNG stream), *tree*
     (``distortion_csr`` vs. ``distortion_of``), *biconn*
-    (``count_biconnected_csr`` vs. the Tarjan dict walk) and *cover*
-    (``vertex_cover_size_csr`` vs. the matching/greedy heuristic) — all
-    bitwise, plus ``BallBatch`` sub-CSRs vs. per-ball induced subgraphs.
-``batch``
-    Fused batch execution vs. the per-ball oracle: every segmented
-    kernel over a :class:`~repro.graph.kernels.FusedBatch` sliced back
-    per ball vs. a ``sub_csr`` loop, the ``distortion_csr_batch``/
-    ``resilience_csr_batch`` entry points vs. their scalar twins under
-    one shared RNG stream (same draws, same order, same final RNG
-    state), ``MetricEngine(use_batch=True)`` vs. ``False`` across all
-    seven series, and a shared-memory publish/attach/release round-trip
-    that must be bitwise lossless and leave ``/dev/shm`` clean.
+    (``count_biconnected_csr`` vs. the Tarjan dict walk), *cover*
+    (``vertex_cover_size_csr`` vs. the matching/greedy heuristic),
+    ``BallBatch`` sub-CSRs vs. per-ball induced subgraphs, and *fused*
+    (every segmented kernel over a
+    :class:`~repro.graph.kernels.FusedBatch` sliced back per ball vs. a
+    ``sub_csr`` loop; ``distortion_csr_batch``/``resilience_csr_batch``
+    vs. their scalar twins under one shared RNG stream — same draws,
+    same order, same final RNG state).  Plus two whole-system legs: the
+    production :class:`~repro.engine.MetricEngine` vs. the dict-of-sets
+    :class:`~repro.testing.OracleEngine` across all seven series, and a
+    shared-memory publish/attach/release round-trip that must be
+    bitwise lossless and leave ``/dev/shm`` clean.
 ``faults``
     The fault-tolerant runtime (:mod:`repro.runtime`): injected crashes
     and garbage results are retried to a bitwise-identical run,
@@ -589,8 +586,8 @@ def _check_faults(rng: random.Random, report: FamilyReport) -> None:
             fail("corrupted cache entries were read without quarantine")
 
 
-def _check_csr(rng: random.Random, report: FamilyReport) -> None:
-    """Differential checks: CSR representation vs. the dict oracle.
+def _kernels_csr(rng: random.Random, report: FamilyReport) -> None:
+    """Sub-stream *csr*: the CSR representation vs. the dict oracle.
 
     Every check holds for *any* graph, so inputs deliberately include
     the adversarial shapes the representation must survive: isolated
@@ -598,7 +595,6 @@ def _check_csr(rng: random.Random, report: FamilyReport) -> None:
     """
     import numpy as np
 
-    from repro.engine import MetricEngine
     from repro.graph import kernels
     from repro.metrics.balls import ball_nodes, ball_subgraph
     from repro.routing.shortest import shortest_path_dag
@@ -693,20 +689,6 @@ def _check_csr(rng: random.Random, report: FamilyReport) -> None:
         k: set(v) for k, v in csr_dag.preds.items()
     }:
         fail(f"CSR DAG predecessor sets differ from oracle (source {s!r})")
-
-    # --- engine: CSR kernels vs dict oracle, bitwise ------------------
-    report.checks += 1
-    connected = random_connected_graph(rng)
-    seed = rng.getrandbits(16)
-    requests = ["expansion", "resilience", "clustering"]
-    params = dict(num_centers=4, seed=seed)
-    csr_engine = MetricEngine(workers=0, use_cache=False)
-    dict_engine = MetricEngine(workers=0, use_cache=False, use_csr=False)
-    for name in requests:
-        a = csr_engine.compute_one(connected, name, **params)
-        b = dict_engine.compute_one(connected, name, **params)
-        if a != b:
-            fail(f"engine(use_csr=True) != engine(use_csr=False) for {name}")
 
 
 #: (registry name, build params) rotation for the streaming family:
@@ -807,11 +789,12 @@ def _check_streaming(rng: random.Random, report: FamilyReport) -> None:
         fail("GraphBuilder giant component != largest_connected_component")
 
 
-def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
-    """Differential checks: CSR metric kernels vs. their dict twins.
+def _kernels_metric_cores(rng: random.Random, report: FamilyReport) -> None:
+    """Sub-streams *flow*, *tree*, *biconn*, *cover*: the scalar CSR
+    metric kernels vs. their dict twins.
 
-    Four sub-streams, one per kernel surface (flow, tree, biconn,
-    cover), each asserting **bitwise** equality — the kernels are not
+    One sub-stream per kernel surface, each asserting **bitwise**
+    equality — the kernels are not
     approximations of the pure-Python metric cores, they are the same
     canonical algorithms re-expressed over arrays, so any drift is a
     bug.  The RNG-consuming kernels are driven with a fresh
@@ -941,21 +924,19 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
             fail(f"BallBatch.sub_csr({i}) != induced_subgraph on ball {i}")
 
 
-def _check_batch(rng: random.Random, report: FamilyReport) -> None:
-    """Differential checks: fused batch execution vs. the per-ball oracle.
+def _kernels_fused(rng: random.Random, report: FamilyReport) -> None:
+    """Sub-stream *fused*: fused batch execution vs. the per-ball loop.
 
-    Three sub-streams: *segmented kernels* (every fused kernel sliced
-    back per ball vs. a ``sub_csr`` loop), *batch metric entry points*
+    *Segmented kernels* (every fused kernel sliced back per ball vs. a
+    ``sub_csr`` loop), *batch metric entry points*
     (``distortion_csr_batch``/``resilience_csr_batch`` vs. the scalar
     twins under one shared RNG stream — which also proves the batch
-    path makes the identical draws in the identical order), and
-    *engine + transport* (``use_batch`` on vs. off across all seven
-    series, plus a shared-memory publish/attach round-trip that must
-    hand back bitwise-identical arrays and leave no live segment).
+    path makes the identical draws in the identical order), and a
+    shared-memory publish/attach round-trip that must hand back
+    bitwise-identical arrays and leave no live segment.
     """
     import numpy as np
 
-    from repro.engine import MetricEngine, MetricRequest
     from repro.graph import kernels as kernels_mod
     from repro.graph import kernels_flow as flow_mod
     from repro.graph import kernels_trees as trees_mod
@@ -1033,32 +1014,6 @@ def _check_batch(rng: random.Random, report: FamilyReport) -> None:
     if solo_rng.getrandbits(64) != batch_rng.getrandbits(64):
         fail("resilience_csr_batch left the RNG stream in a different state")
 
-    # --- engine: use_batch on == off across all seven series ----------
-    report.checks += 1
-    ge = random_connected_graph(rng, 8, 16)
-    seed = rng.getrandbits(16)
-    requests = [
-        MetricRequest(name, num_centers=3, seed=seed)
-        for name in (
-            "expansion",
-            "resilience",
-            "distortion",
-            "vertex_cover",
-            "biconnectivity",
-            "clustering",
-            "path_length",
-        )
-    ]
-    fused_run = MetricEngine(use_cache=False, use_batch=True).compute(
-        ge, requests
-    )
-    oracle_run = MetricEngine(use_cache=False, use_batch=False).compute(
-        ge, requests
-    )
-    for name in fused_run:
-        if repr(fused_run[name]) != repr(oracle_run[name]):
-            fail(f"use_batch engine series {name!r} != per-ball series")
-
     # --- transport: shm publish/attach round-trip, refcounted unlink --
     report.checks += 1
     published = shm_mod.publish(csr)
@@ -1085,6 +1040,38 @@ def _check_batch(rng: random.Random, report: FamilyReport) -> None:
             fail("released segment still registered as active")
         if name in shm_mod.stray_segments():
             fail(f"segment {name} leaked in /dev/shm after final release")
+
+
+def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
+    """Differential checks: every kernel layer, then the whole engine.
+
+    Runs the *csr*, metric-core and *fused* sub-streams, then one engine
+    leg: the production :class:`~repro.engine.MetricEngine` (CSR BFS,
+    fused batch kernels) vs. the dict-of-sets
+    :class:`~repro.testing.OracleEngine` across all seven series, with
+    series and ``last_run`` compared by ``repr`` (no epsilon).
+    """
+    from repro.engine import MetricEngine, MetricRequest
+
+    def fail(msg: str) -> None:
+        report.failures.append(CheckFailure(report.family, report.checks, msg))
+
+    _kernels_csr(rng, report)
+    _kernels_metric_cores(rng, report)
+    _kernels_fused(rng, report)
+
+    report.checks += 1
+    g = random_connected_graph(rng, 8, 16)
+    seed = rng.getrandbits(16)
+    names = invariants_mod.ALL_ENGINE_METRICS
+    requests = [MetricRequest(name, num_centers=3, seed=seed) for name in names]
+    engine, oracle = MetricEngine(use_cache=False), oracles.OracleEngine()
+    got, want = engine.compute(g, requests), oracle.compute(g, requests)
+    for name in names:
+        if repr(got[name]) != repr(want[name]):
+            fail(f"engine series {name!r} != OracleEngine series")
+    if repr(engine.last_run) != repr(oracle.last_run):
+        fail("engine last_run != OracleEngine last_run")
 
 
 def _check_service(rng: random.Random, report: FamilyReport) -> None:
@@ -1364,10 +1351,8 @@ _FAMILIES: Dict[str, tuple] = {
     "engine-equivalence": (_check_engine_equivalence, 10),
     "determinism": (_check_determinism, 2),
     "faults": (_check_faults, 3),
-    "csr": (_check_csr, 1),
     "streaming": (_check_streaming, 1),
     "kernels": (_check_kernels, 1),
-    "batch": (_check_batch, 2),
     "service": (_check_service, 3),
     "shards": (_check_shards, 3),
 }

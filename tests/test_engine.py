@@ -6,6 +6,8 @@ across workers, standalone or batched with other metrics, fresh or from
 the on-disk cache, and identical to the legacy per-metric functions.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.engine import (
@@ -32,6 +34,7 @@ from repro.metrics import (
     resilience,
     vertex_cover_series,
 )
+from repro.testing import OracleEngine
 
 SEED = 7
 BALL_PARAMS = dict(num_centers=4, max_ball_size=200, seed=SEED)
@@ -90,13 +93,39 @@ def test_parallel_engine_matches_legacy(graph_name, graph):
 
 @pytest.mark.parametrize("graph_name,graph", graphs())
 def test_csr_engine_matches_dict_oracle(graph_name, graph):
-    # The vectorized CSR kernels vs the dict-of-sets BFS oracle: every
-    # series identical to the last bit, for all seven metrics at once.
+    # The production engine (CSR BFS, fused batch kernels) vs the
+    # dict-of-sets OracleEngine: every series identical to the last bit,
+    # for all seven metrics at once, and the same RunReport.
     requests = [request_for(name) for name in sorted(LEGACY_FUNCTIONS)]
-    via_csr = engine().compute(graph, requests)
-    via_dicts = engine(use_csr=False).compute(graph, requests)
+    production, oracle = engine(), OracleEngine()
+    via_csr = production.compute(graph, requests)
+    via_dicts = oracle.compute(graph, requests)
     for metric in LEGACY_FUNCTIONS:
         assert via_csr[metric] == via_dicts[metric], metric
+    assert production.last_run == oracle.last_run
+
+
+def test_policy_balls_match_oracle_for_every_ball_metric():
+    # Policy balls take the dict evaluator for every metric, batchable
+    # or not; the oracle must agree bitwise, RunReport included.
+    as_graph = synthetic_as_graph(ASGraphParams(n=200), seed=4)
+    requests = [
+        MetricRequest(
+            name,
+            num_centers=4,
+            max_ball_size=150,
+            rels=as_graph.relationships,
+            seed=5,
+        )
+        for name in sorted(LEGACY_FUNCTIONS)
+        if name != "expansion"
+    ]
+    production, oracle = engine(), OracleEngine()
+    got = production.compute(as_graph.graph, requests)
+    want = oracle.compute(as_graph.graph, requests)
+    assert len(got) == 6
+    assert repr(got) == repr(want)
+    assert production.last_run == oracle.last_run
 
 
 @pytest.mark.parametrize("graph_name,graph", graphs())
@@ -452,33 +481,30 @@ def test_cache_key_covers_params_and_seed():
 
 
 # ----------------------------------------------------------------------
-# Metric kernels on/off: the CSR kernel layer must be invisible
+# Fused batch kernels on/off: the batch layer must be invisible
 # ----------------------------------------------------------------------
 
 def _strip_kernels(monkeypatch):
-    """Disable every registered kernel_evaluator, keeping use_csr=True.
+    """Disable every registered batch_evaluator.
 
-    This isolates the kernel layer from the CSR representation: the
-    engine still runs on frozen graphs and batched distances, but every
+    The engine still runs on frozen graphs and CSR distances, but every
     ball metric falls back to its dict evaluator on thawed balls.
     """
-    import dataclasses
-
     from repro.engine import requests as requests_mod
 
     for name, spec in list(requests_mod.METRICS.items()):
-        if spec.kernel_evaluator is not None:
+        if spec.batch_evaluator is not None:
             monkeypatch.setitem(
                 requests_mod.METRICS,
                 name,
-                dataclasses.replace(spec, kernel_evaluator=None),
+                dataclasses.replace(spec, batch_evaluator=None),
             )
 
 
 @pytest.mark.parametrize("graph_name,graph", graphs())
 def test_kernels_on_off_bitwise_identical(graph_name, graph, monkeypatch):
-    # All seven series with the CSR metric kernels dispatched, vs. the
-    # same engine with every kernel_evaluator stripped: bitwise equal,
+    # All seven series with the fused batch kernels dispatched, vs. the
+    # same engine with every batch_evaluator stripped: bitwise equal,
     # including the RunReport status blocks.
     requests = [request_for(name) for name in sorted(LEGACY_FUNCTIONS)]
     kernel_engine = engine()
@@ -491,11 +517,17 @@ def test_kernels_on_off_bitwise_identical(graph_name, graph, monkeypatch):
     assert kernel_engine.last_run == plain_engine.last_run
 
 
-def test_kernel_registry_covers_the_non_bfs_ball_metrics():
+# ----------------------------------------------------------------------
+# The metric registry: one production path per ball metric
+# ----------------------------------------------------------------------
+
+def test_metric_registry_evaluators():
     from repro.engine.requests import METRICS
 
-    kernelized = {n for n, s in METRICS.items() if s.kernel_evaluator is not None}
-    assert kernelized == {
+    ball_metrics = {n for n, s in METRICS.items() if s.kind == "ball"}
+    assert all(METRICS[n].evaluator is not None for n in ball_metrics)
+    batched = {n for n, s in METRICS.items() if s.batch_evaluator is not None}
+    assert batched == {
         "resilience",
         "distortion",
         "vertex_cover",

@@ -10,8 +10,8 @@ This suite pins the degenerate shapes (empty batches, empty member
 lists, singleton balls, the whole graph as one ball, int32-boundary
 offsets) and then lets Hypothesis draw arbitrary graphs and arbitrary
 ball chunkings, checking every segmented kernel and both batch metric
-entry points — plus the engine's ``use_batch`` toggle across all seven
-metric series.
+entry points — plus the production engine against the dict-of-sets
+``OracleEngine`` across all seven metric series.
 """
 
 import random
@@ -36,6 +36,7 @@ from repro.graph.kernels import (
 )
 from repro.graph.kernels_flow import resilience_csr, resilience_csr_batch
 from repro.graph.kernels_trees import distortion_csr, distortion_csr_batch
+from repro.testing import OracleEngine
 from repro.testing.strategies import connected_graphs, graphs
 
 ALL_SERIES = (
@@ -222,16 +223,12 @@ def test_fused_equals_per_ball_loop_byte_for_byte(drawn):
 
 @given(connected_graphs(min_nodes=3, max_nodes=10), st.integers(0, 2**16 - 1))
 @settings(max_examples=15, deadline=None)
-def test_engine_use_batch_matches_per_ball_on_all_seven_series(g, seed):
+def test_engine_matches_oracle_on_all_seven_series(g, seed):
     requests = [
         MetricRequest(name, num_centers=3, seed=seed) for name in ALL_SERIES
     ]
-    fused_run = MetricEngine(use_cache=False, use_batch=True).compute(
-        g, requests
-    )
-    oracle_run = MetricEngine(use_cache=False, use_batch=False).compute(
-        g, requests
-    )
+    fused_run = MetricEngine(use_cache=False).compute(g, requests)
+    oracle_run = OracleEngine().compute(g, requests)
     assert set(fused_run) == set(ALL_SERIES)
     for name in ALL_SERIES:
         assert repr(fused_run[name]) == repr(oracle_run[name])

@@ -82,10 +82,8 @@ def test_run_selfcheck_passes_and_reports_all_families():
         "engine-equivalence",
         "determinism",
         "faults",
-        "csr",
         "streaming",
         "kernels",
-        "batch",
         "service",
         "shards",
     ]
@@ -176,7 +174,7 @@ def test_selfcheck_catches_csr_bfs_off_by_one(monkeypatch):
         return dist
 
     monkeypatch.setattr(kernels, "bfs_levels", off_by_one)
-    report = run_selfcheck(rounds=5, seed=0, families=["csr"], out=lambda _: None)
+    report = run_selfcheck(rounds=5, seed=0, families=["kernels"], out=lambda _: None)
     assert not report.ok
     messages = " ".join(f.message for f in report.families[0].failures)
     assert "bfs_levels" in messages
@@ -191,7 +189,7 @@ def test_selfcheck_catches_csr_ball_off_by_one(monkeypatch):
         return real(dist, radius - 1 if radius > 0 else radius)
 
     monkeypatch.setattr(kernels, "ball_members", shrunk)
-    report = run_selfcheck(rounds=5, seed=0, families=["csr"], out=lambda _: None)
+    report = run_selfcheck(rounds=5, seed=0, families=["kernels"], out=lambda _: None)
     assert not report.ok
 
 
@@ -293,7 +291,7 @@ def test_selfcheck_catches_kernel_cover_off_by_one(monkeypatch):
 
 
 def test_selfcheck_catches_fused_bfs_off_by_one(monkeypatch):
-    """Batch family: a planted +1 on every non-root fused BFS level
+    """Fused sub-stream: a planted +1 on every non-root fused BFS level
     desyncs the fused sweep from the per-ball ``bfs_levels`` loop."""
     from repro.graph import kernels
 
@@ -306,7 +304,7 @@ def test_selfcheck_catches_fused_bfs_off_by_one(monkeypatch):
 
     monkeypatch.setattr(kernels, "fused_bfs_levels", off_by_one)
     report = run_selfcheck(
-        rounds=8, seed=0, families=["batch"], out=lambda _: None
+        rounds=8, seed=0, families=["kernels"], out=lambda _: None
     )
     assert not report.ok
     messages = " ".join(f.message for f in report.families[0].failures)
@@ -314,7 +312,7 @@ def test_selfcheck_catches_fused_bfs_off_by_one(monkeypatch):
 
 
 def test_selfcheck_catches_fused_tree_total_off_by_one(monkeypatch):
-    """Batch family: a planted +1 in the fused LCA tree-distance totals
+    """Fused sub-stream: a planted +1 in the fused LCA tree-distance totals
     desyncs ``distortion_csr_batch`` from the scalar twin."""
     from repro.graph import kernels_trees
 
@@ -325,7 +323,7 @@ def test_selfcheck_catches_fused_tree_total_off_by_one(monkeypatch):
 
     monkeypatch.setattr(kernels_trees, "_fused_tree_totals", off_by_one)
     report = run_selfcheck(
-        rounds=8, seed=0, families=["batch"], out=lambda _: None
+        rounds=8, seed=0, families=["kernels"], out=lambda _: None
     )
     assert not report.ok
     messages = " ".join(f.message for f in report.families[0].failures)
@@ -333,7 +331,7 @@ def test_selfcheck_catches_fused_tree_total_off_by_one(monkeypatch):
 
 
 def test_selfcheck_catches_batch_matching_off_by_one(monkeypatch):
-    """Batch family: the fused handshake matching drifting by one node
+    """Fused sub-stream: the fused handshake matching drifting by one node
     must flip both the matching and vertex-cover batch checks red."""
     from repro.graph import kernels
 
@@ -344,7 +342,7 @@ def test_selfcheck_catches_batch_matching_off_by_one(monkeypatch):
 
     monkeypatch.setattr(kernels, "batch_matching_cover_sizes", off_by_one)
     report = run_selfcheck(
-        rounds=8, seed=0, families=["batch"], out=lambda _: None
+        rounds=8, seed=0, families=["kernels"], out=lambda _: None
     )
     assert not report.ok
     messages = " ".join(f.message for f in report.families[0].failures)
@@ -352,7 +350,7 @@ def test_selfcheck_catches_batch_matching_off_by_one(monkeypatch):
 
 
 def test_selfcheck_catches_batch_resilience_drift(monkeypatch):
-    """Batch family: a batched resilience value drifting off the scalar
+    """Fused sub-stream: a batched resilience value drifting off the scalar
     twin's floats must flip the family red."""
     from repro.graph import kernels_flow
 
@@ -363,7 +361,7 @@ def test_selfcheck_catches_batch_resilience_drift(monkeypatch):
 
     monkeypatch.setattr(kernels_flow, "resilience_csr_batch", drifted)
     report = run_selfcheck(
-        rounds=8, seed=0, families=["batch"], out=lambda _: None
+        rounds=8, seed=0, families=["kernels"], out=lambda _: None
     )
     assert not report.ok
     messages = " ".join(f.message for f in report.families[0].failures)

@@ -275,6 +275,43 @@ def test_server_rejects_malformed_and_unknown_graph(tmp_path):
             assert err.value.code == "not-found"
 
 
+#: Malformed parameters: each must be refused before admission, never
+#: reach an engine pass, and never be coerced into a valid cache key.
+MALFORMED_PARAMS = [
+    ("metric", {"params": {"num_centers": -2}}),
+    ("metric", {"params": {"num_centers": "3"}}),
+    ("metric", {"params": {"max_ball_size": "x"}}),
+    ("metric", {"params": {"seed": [1]}}),
+    ("metric", {"params": {"num_centers": 2.5}}),
+    ("metric", {"params": {"centers": "ab"}}),
+    ("metric", {"params": {"num_centers": True}}),
+    ("metric", {"params": {"no_such_param": 1}}),
+    ("signature", {"centers": -1}),
+    ("compare", {"max_ball": -1}),
+]
+
+
+@pytest.mark.parametrize("op,fields", MALFORMED_PARAMS, ids=repr)
+def test_server_malformed_params_are_bad_requests(tmp_path, op, fields):
+    graph = _write_graph(tmp_path / "g.edges")
+    if op == "compare":
+        payload = {"graphs": [graph], **fields}
+    else:
+        payload = {"graph": graph, "metric": "vertex_cover", **fields}
+        if op == "signature":
+            del payload["metric"]
+    sock = _socket_path()
+    with ReproServer(socket_path=sock, cache_dir=str(tmp_path / "svc-cache")):
+        with ServiceClient(sock) as client:
+            with pytest.raises(ServiceError) as err:
+                client.request(op, payload)
+            status = client.status()
+    assert err.value.code == ERR_BAD_REQUEST
+    # Rejected before admission: no engine pass, not even a graph load.
+    assert status["counters"]["engine_passes"] == 0
+    assert status["graphs"]["loads"] == 0
+
+
 # ----------------------------------------------------------------------
 # sweep-shard: partitioned sweeps on the daemon
 # ----------------------------------------------------------------------
