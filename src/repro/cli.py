@@ -37,7 +37,6 @@ from repro.analysis import (
 )
 from repro.engine import MetricEngine, MetricRequest
 from repro.runtime import RuntimePolicy
-from repro.runtime import faults as _faults
 from repro.generators import GraphBuilder, TiersParams, TransitStubParams
 from repro.generators import registry as generator_registry
 from repro.graph.core import Graph
@@ -79,14 +78,18 @@ class CLIError(Exception):
 
 def _load_graph(path: str) -> Graph:
     """Read an edge list, converting failures into a :class:`CLIError`
-    naming the file (missing files, permissions, malformed lines)."""
+    naming the file (missing files, permissions, malformed lines, no
+    edges at all)."""
     try:
-        return read_edgelist(path)
+        graph = read_edgelist(path)
     except (OSError, UnicodeDecodeError, ValueError) as exc:
         message = str(exc) or exc.__class__.__name__
         if str(path) not in message:
             message = f"{path}: {message}"
         raise CLIError(message) from exc
+    if graph.number_of_edges() == 0:
+        raise CLIError(f"{path}: edge list has no edges")
+    return graph
 
 def _cli_sink(a: argparse.Namespace) -> Optional[GraphBuilder]:
     """A streaming CSR sink when ``--stream`` was given, else None."""
@@ -218,15 +221,15 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _runtime_policy(args: argparse.Namespace) -> Optional[RuntimePolicy]:
-    """The supervised-runtime policy implied by the CLI flags.
+    """The runtime policy implied by ``--deadline``/``--retries``.
 
-    Enabled by ``--deadline``/``--retries`` or a ``REPRO_FAULTS``
-    environment (injected faults only make sense under supervision);
-    otherwise the plain executor runs.
+    Without either flag this is ``None``: the engine runs fail-fast
+    (one attempt per center, first error aborts), or under a default
+    policy when ``REPRO_FAULTS`` injects faults — the engine decides that.
     """
     deadline = getattr(args, "deadline", None)
     retries = getattr(args, "retries", None)
-    if deadline is None and retries is None and not os.environ.get(_faults.ENV_VAR):
+    if deadline is None and retries is None:
         return None
     policy = RuntimePolicy()
     if deadline is not None:
@@ -693,8 +696,6 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """``compare``: side-by-side markdown report for edge lists."""
-    import os
-
     from repro.harness import ReportInput, generate_report
 
     items = []
@@ -723,14 +724,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     appended to ``--journal``; rerunning with ``--resume`` after a crash
     or Ctrl-C skips everything already journaled.
     """
-    import os as _os
-
     from repro.harness import ReportInput, generate_report
     from repro.runtime import Journal
 
     items = []
     for path in args.edgelists:
-        name = _os.path.splitext(_os.path.basename(path))[0]
+        name = os.path.splitext(os.path.basename(path))[0]
         items.append(ReportInput(name, _load_graph(path)))
     journal = Journal(args.journal)
     if args.resume:

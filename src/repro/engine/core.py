@@ -9,8 +9,10 @@ metric.  The engine instead takes a *batch* of
 1. grows each center's balls **once**, evaluating all requested per-ball
    metrics against the shared induced subgraph (and serving distance-only
    metrics like expansion from the same distance maps),
-2. optionally fans centers out across a ``ProcessPoolExecutor``
-   (``workers=0`` is a serial fallback with identical results), and
+2. runs one task per center through the
+   :class:`~repro.runtime.supervisor.Supervisor`, serially or fanned out
+   across a process pool (``workers=0`` is serial, with identical
+   results), journaling every finished center when given a journal, and
 3. caches finished series on disk under ``.repro-cache/`` keyed by a
    content hash of (edge set, metric name, params, seed) — see
    :mod:`repro.engine.cache`.
@@ -60,8 +62,7 @@ import dataclasses
 import hashlib
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -135,8 +136,8 @@ class _Plan:
 class _ComputeContext:
     """A frozen graph plus its lazily-thawed canonical form.
 
-    The context is what execution paths (serial, pool, supervisor) pass
-    around instead of the raw graph: pickling it ships only the compact
+    The context is what the supervisor hands every task (serial or in a
+    pool worker) instead of the raw graph: pickling it ships only the compact
     CSR arrays — or, after :meth:`publish`, just a shared-memory
     :class:`~repro.runtime.shm.SegmentHandle` that workers attach to
     zero-copy.  Each worker thaws the canonical ``Graph`` at most once.
@@ -318,32 +319,6 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
     return counts_at, group_contributions
 
 
-# ----------------------------------------------------------------------
-# Process-pool plumbing.  Workers receive the per-center function, the
-# compute context (compact CSR arrays, thawed lazily in-worker) and plans
-# once via the pool initializer and are then sent only (plan, center)
-# indices.
-# ----------------------------------------------------------------------
-
-_WORKER_TASK: Optional[Callable] = None
-_WORKER_CTX: Optional[_ComputeContext] = None
-_WORKER_PLANS: Optional[List[_Plan]] = None
-
-
-def _pool_init(
-    center_task: Callable, ctx: _ComputeContext, plans: List[_Plan]
-) -> None:
-    global _WORKER_TASK, _WORKER_CTX, _WORKER_PLANS
-    _WORKER_TASK = center_task
-    _WORKER_CTX = ctx
-    _WORKER_PLANS = plans
-
-
-def _pool_task(task: Tuple[int, int]):
-    pi, ci = task
-    return _WORKER_TASK(_WORKER_CTX, _WORKER_PLANS[pi], ci)
-
-
 def _expansion_series(
     n: int,
     per_center_counts: List[List[int]],
@@ -395,12 +370,13 @@ class MetricEngine:
     cache_dir:
         Cache directory, ``.repro-cache/`` by default.
     runtime:
-        A :class:`repro.runtime.RuntimePolicy` enabling the supervised
-        fault-tolerant executor (deadlines, retries, pool respawn,
-        graceful degradation).  ``None`` keeps the plain executor —
-        unless the ``REPRO_FAULTS`` environment variable is set, which
-        auto-enables a default policy so injected faults are supervised.
-        Fault-free supervised runs are bitwise identical to plain runs.
+        A :class:`repro.runtime.RuntimePolicy` for the supervisor that
+        runs every center (deadlines, retries, pool respawn, graceful
+        degradation).  ``None`` is fail-fast: one attempt per center and
+        the first exception propagates — unless the ``REPRO_FAULTS``
+        environment variable is set, which auto-enables a default policy
+        so injected faults are supervised.  Fault-free runs are bitwise
+        identical under every policy.
     journal:
         A :class:`repro.runtime.Journal` (or path) checkpointing every
         completed (graph, plan, center) task; a later engine given the
@@ -429,9 +405,9 @@ class MetricEngine:
     ['expansion', 'resilience']
     """
 
-    #: The per-center computation ``(ctx, plan, ci) -> result`` that
-    #: every execution path (serial, pool, supervisor) runs.  It is the
-    #: engine's one seam: :class:`repro.testing.OracleEngine` swaps in
+    #: The per-center computation ``(ctx, plan, ci) -> result`` that the
+    #: supervisor runs, serially or in pool workers.  It is the engine's
+    #: one seam: :class:`repro.testing.OracleEngine` swaps in
     #: the dict-of-sets oracle here.
     _center_task = staticmethod(_compute_center)
 
@@ -634,81 +610,19 @@ class MetricEngine:
     def _execute(
         self, ctx: _ComputeContext, plans: List[_Plan], pending: List[_Resolved]
     ):
-        """Run every (plan, center) task; returns per-plan result lists
-        (aligned with center order, ``None`` for failed centers) and
-        per-plan :class:`CenterStatus` lists (``None`` without runtime).
+        """Run every (plan, center) task through the :class:`Supervisor`.
+
+        Returns per-plan result lists (aligned with center order,
+        ``None`` for centers a runtime policy dropped) and per-plan
+        :class:`CenterStatus` lists.  Centers already in the journal are
+        preloaded instead of recomputed; every freshly computed center
+        is journaled.
         """
         tasks = [
             (pi, ci)
             for pi, plan in enumerate(plans)
             for ci in range(len(plan.centers))
         ]
-        # Publish the frozen graph to shared memory before any path
-        # that pickles the context for worker processes; the reference
-        # is dropped in ``finally`` so no exception (including a
-        # BrokenProcessPool mid-respawn) can leak the segment.
-        will_fork = self.workers > 0 and (
-            self.runtime is not None or len(tasks) > 1
-        )
-        if will_fork and ctx.publish(self.transport):
-            if ctx._segment is not None and ctx._segment.refs > 1:
-                self.stats["shm_reused"] += 1
-            else:
-                self.stats["shm_published"] += 1
-        try:
-            task_statuses: Optional[List[CenterStatus]] = None
-            if self.runtime is not None:
-                flat, task_statuses = self._execute_supervised(
-                    ctx, plans, tasks, pending
-                )
-            else:
-                self.stats["centers_computed"] += len(tasks)
-                if self.workers > 0 and len(tasks) > 1:
-                    flat = self._execute_parallel(ctx, plans, tasks)
-                else:
-                    flat = [
-                        self._center_task(ctx, plans[pi], ci)
-                        for pi, ci in tasks
-                    ]
-        finally:
-            ctx.release()
-        per_plan: List[List[Any]] = [[] for _ in plans]
-        per_plan_statuses: Optional[List[List[CenterStatus]]] = (
-            [[] for _ in plans] if task_statuses is not None else None
-        )
-        for ti, ((pi, _ci), result) in enumerate(zip(tasks, flat)):
-            # Tasks were generated (and execution preserves) center
-            # order, so appending here keeps the merge order
-            # deterministic.
-            per_plan[pi].append(result)
-            if per_plan_statuses is not None:
-                per_plan_statuses[pi].append(task_statuses[ti])
-        return per_plan, per_plan_statuses
-
-    def _execute_parallel(self, ctx, plans, tasks):
-        max_workers = min(self.workers, len(tasks))
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=_pool_init,
-                initargs=(self._center_task, ctx, plans),
-            )
-        except (OSError, PermissionError):  # pragma: no cover - sandboxes
-            # Environments that forbid subprocesses fall back to the
-            # serial path; results are identical by construction.
-            return [self._center_task(ctx, plans[pi], ci) for pi, ci in tasks]
-        try:
-            with pool:
-                return list(pool.map(_pool_task, tasks))
-        except BaseException:
-            # An interrupted run (Ctrl-C, a worker exception) must not
-            # orphan workers: cancel queued tasks and stop without
-            # waiting on whatever is still executing.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-
-    def _execute_supervised(self, ctx, plans, tasks, pending):
-        """The fault-tolerant path: journal preload + supervised run."""
         metric_names = [
             self._plan_metric_names(plan, pending) for plan in plans
         ]
@@ -740,10 +654,31 @@ class MetricEngine:
                     self._encode_center_result(plans[pi], result),
                 )
 
-        supervisor = Supervisor(self.runtime, self.workers, self._center_task)
-        return supervisor.run(
-            ctx, plans, tasks, metric_names, preloaded, on_done
-        )
+        # Publish the frozen graph to shared memory before a pool can
+        # pickle the context; the reference is dropped in ``finally`` so
+        # no exception (including a BrokenProcessPool mid-respawn) can
+        # leak the segment.
+        if self.workers > 0 and len(tasks) > 1 and ctx.publish(self.transport):
+            if ctx._segment is not None and ctx._segment.refs > 1:
+                self.stats["shm_reused"] += 1
+            else:
+                self.stats["shm_published"] += 1
+        try:
+            supervisor = Supervisor(self.runtime, self.workers, self._center_task)
+            flat, task_statuses = supervisor.run(
+                ctx, plans, tasks, metric_names, preloaded, on_done
+            )
+        finally:
+            ctx.release()
+        per_plan: List[List[Any]] = [[] for _ in plans]
+        per_plan_statuses: List[List[CenterStatus]] = [[] for _ in plans]
+        for (pi, _ci), result, status in zip(tasks, flat, task_statuses):
+            # Tasks were generated (and execution preserves) center
+            # order, so appending here keeps the merge order
+            # deterministic.
+            per_plan[pi].append(result)
+            per_plan_statuses[pi].append(status)
+        return per_plan, per_plan_statuses
 
     # ------------------------------------------------------------------
     # Journal plumbing: plan signatures and center-result codecs
@@ -844,7 +779,7 @@ class MetricEngine:
     def _attach_statuses(
         self,
         plans: List[_Plan],
-        per_plan_statuses: Optional[List[List[CenterStatus]]],
+        per_plan_statuses: List[List[CenterStatus]],
         pending: List[_Resolved],
         report: RunReport,
     ) -> None:
@@ -857,9 +792,6 @@ class MetricEngine:
                     rid_to_plan[member.rid] = pi
         for rid, res in enumerate(pending):
             name = res.request.name
-            if per_plan_statuses is None:
-                report.metrics[name] = SeriesStatus(metric=name, source="legacy")
-                continue
             statuses = per_plan_statuses[rid_to_plan[rid]]
             report.metrics[name] = SeriesStatus(
                 metric=name,
@@ -880,12 +812,10 @@ class MetricEngine:
     ) -> None:
         n = ctx.csr.number_of_nodes()
         for plan, center_results in zip(plans, per_plan_results):
-            # Centers whose retries were exhausted under the supervised
-            # runtime arrive as None: the series is averaged over the
-            # surviving centers (the per-center status block records the
-            # gap).  Without the runtime every result is present and
-            # this filter is the identity, keeping legacy runs bitwise
-            # identical.
+            # Centers whose retries a runtime policy exhausted arrive as
+            # None: the series is averaged over the surviving centers
+            # (the per-center status block records the gap).  On a
+            # fault-free run this filter is the identity.
             surviving = [result for result in center_results if result is not None]
             if plan.distance_rids:
                 per_center_counts = [counts for counts, _groups in surviving]

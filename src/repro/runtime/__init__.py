@@ -6,9 +6,10 @@ package makes :class:`repro.engine.MetricEngine` (and the sweep/report
 harness on top of it) survive partial failure and resume instead of
 restarting:
 
-* :class:`Supervisor` / :class:`RuntimePolicy` — per-center deadlines,
-  retry with exponential backoff, ``BrokenProcessPool`` respawn, and
-  degradation of repeat offenders to serial execution;
+* :class:`Supervisor` / :class:`RuntimePolicy` — the engine's one
+  executor: fail-fast without a policy; under one, per-center
+  deadlines, retry with exponential backoff, ``BrokenProcessPool``
+  respawn, and degradation of repeat offenders to serial execution;
 * :class:`Journal` — an append-only checksummed JSONL checkpoint of
   completed (graph, metric, center) results powering ``--resume``;
 * :mod:`repro.runtime.shards` — partitioned sweeps: a deterministic

@@ -42,13 +42,12 @@ class SeriesStatus:
     """Outcome of one metric's series.
 
     ``source`` records where the series came from: ``computed`` (this
-    run, with per-center ``states``), ``cache`` (the on-disk series
-    cache) or ``legacy`` (the unsupervised execution path, which aborts
-    rather than degrades, so every center is implicitly ``ok``).
+    run, with one entry in ``states`` per center) or ``cache`` (the
+    on-disk series cache).
     """
 
     metric: str
-    source: str = "computed"  # computed | cache | legacy
+    source: str = "computed"  # computed | cache
     states: List[str] = dataclasses.field(default_factory=list)
     errors: List[Optional[str]] = dataclasses.field(default_factory=list)
 

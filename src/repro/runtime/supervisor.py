@@ -1,10 +1,12 @@
-"""Supervised task execution: deadlines, retries, pool respawn,
+"""The engine's task executor: deadlines, retries, pool respawn,
 graceful degradation.
 
-The :class:`Supervisor` runs the engine's per-center tasks the way the
-plain executor does — same tasks, same ordering, bitwise-identical
-results on a fault-free run — but survives the ways long computations
-actually die:
+The :class:`Supervisor` runs every per-center task of every
+:class:`~repro.engine.MetricEngine` pass, serially or on a process pool.
+Without a :class:`RuntimePolicy` it is fail-fast: one attempt per task,
+no deadline, and the first task exception propagates unchanged after
+the pool is torn down.  Under a policy it survives the ways long
+computations actually die:
 
 * **Per-center deadlines.**  Waiting on a task is bounded by
   ``RuntimePolicy.deadline``; a hung worker is killed with its pool and
@@ -129,7 +131,7 @@ _W_PLANS: Any = None
 _W_FAULTS: Optional[FaultPlan] = None
 
 
-def _sup_pool_init(compute, graph, plans, fault_text: str) -> None:
+def _init_worker(compute, graph, plans, fault_text: str) -> None:
     global _W_COMPUTE, _W_GRAPH, _W_PLANS, _W_FAULTS
     _W_COMPUTE = compute
     _W_GRAPH = graph
@@ -137,7 +139,7 @@ def _sup_pool_init(compute, graph, plans, fault_text: str) -> None:
     _W_FAULTS = FaultPlan.parse(fault_text) if fault_text else None
 
 
-def _sup_pool_task(task: Tuple[int, int, int, Tuple[str, ...]]):
+def _run_in_worker(task: Tuple[int, int, int, Tuple[str, ...]]):
     pi, ci, attempt, metric_names = task
     if _W_FAULTS is not None:
         spec = _W_FAULTS.find(metric_names, ci, attempt)
@@ -149,27 +151,34 @@ def _sup_pool_task(task: Tuple[int, int, int, Tuple[str, ...]]):
 
 
 class Supervisor:
-    """Run per-center tasks under a :class:`RuntimePolicy`.
+    """The engine's one executor for per-center tasks.
 
-    ``compute`` is the serial per-task callable ``(graph, plan, ci) ->
-    result`` (the engine passes its per-center function,
-    ``MetricEngine._center_task``); it must be a module-level function
-    so worker processes can unpickle it.
+    Tasks run supervised under a :class:`RuntimePolicy`, or fail-fast
+    when ``policy`` is ``None``.  ``compute`` is the serial per-task
+    callable ``(graph, plan, ci) -> result`` (the engine passes its
+    per-center function, ``MetricEngine._center_task``); it must be a
+    module-level function so worker processes can unpickle it.
+
+    Whatever the policy, a pool that finished its tasks is joined before
+    :meth:`run` returns; any other exit (a task exception under
+    fail-fast, Ctrl-C, a failed respawn) kills it without waiting.
     """
 
     def __init__(
         self,
-        policy: RuntimePolicy,
+        policy: Optional[RuntimePolicy],
         workers: int,
         compute: Callable,
     ):
+        self.fail_fast = policy is None
+        if policy is None:
+            policy = RuntimePolicy(deadline=None, retries=0, backoff=0.0)
         self.policy = policy
         self.workers = int(workers)
         self.compute = compute
         self.faults = (
             policy.faults if policy.faults is not None else faults_mod.plan_from_env()
         )
-        self.stats = {"pool_respawns": 0, "degraded_tasks": 0, "retried_tasks": 0}
 
     # ------------------------------------------------------------------
     # Entry point
@@ -210,9 +219,6 @@ class Supervisor:
                 self._run_one_serial(
                     graph, plans, tasks, metric_names, index, results, statuses, on_done
                 )
-        self.stats["retried_tasks"] += sum(
-            1 for s in statuses if s.state == STATE_RETRIED
-        )
         return results, statuses
 
     # ------------------------------------------------------------------
@@ -244,10 +250,13 @@ class Supervisor:
                     raise GarbageResultError(
                         f"center {ci} of plan {pi} returned a malformed result"
                     )
-            except InjectedHang as exc:
-                last_error, last_state = str(exc), STATE_TIMEOUT
             except Exception as exc:  # noqa: BLE001 - supervision boundary
-                last_error, last_state = str(exc), STATE_FAILED
+                if self.fail_fast:
+                    raise
+                last_error = str(exc)
+                last_state = (
+                    STATE_TIMEOUT if isinstance(exc, InjectedHang) else STATE_FAILED
+                )
             else:
                 status.state = STATE_RETRIED if attempt > 0 else STATE_OK
                 results[index] = result
@@ -268,7 +277,7 @@ class Supervisor:
         try:
             return ProcessPoolExecutor(
                 max_workers=min(self.workers, n_tasks),
-                initializer=_sup_pool_init,
+                initializer=_init_worker,
                 initargs=(self.compute, graph, plans, fault_text),
             )
         except (OSError, PermissionError):  # pragma: no cover - sandboxes
@@ -295,7 +304,6 @@ class Supervisor:
                 process.join(timeout=1.0)
             except Exception:  # pragma: no cover
                 pass
-        self.stats["pool_respawns"] += 1
 
     def _run_parallel(
         self, graph, plans, tasks, metric_names, todo, results, statuses, on_done
@@ -312,7 +320,6 @@ class Supervisor:
                 # is attributable and cannot take the pool down.
                 degraded = [i for i in todo if strikes[i] >= policy.strikes]
                 if degraded:
-                    self.stats["degraded_tasks"] += len(degraded)
                     for index in degraded:
                         self._run_one_serial(
                             graph, plans, tasks, metric_names,
@@ -335,7 +342,7 @@ class Supervisor:
                 for index in todo:
                     pi, ci = tasks[index]
                     futures[index] = pool.submit(
-                        _sup_pool_task,
+                        _run_in_worker,
                         (pi, ci, attempts[index], tuple(metric_names[pi])),
                     )
                 next_todo: List[int] = []
@@ -352,7 +359,13 @@ class Supervisor:
                         result = future.result(
                             timeout=None if future.done() else policy.deadline
                         )
+                        if not validate_center_result(result):
+                            raise GarbageResultError(
+                                "returned a malformed (garbage) result"
+                            )
                     except FutureTimeout:
+                        if self.fail_fast:  # the task itself raised it
+                            raise
                         attempts[index] += 1
                         status.attempts = attempts[index]
                         if attempts[index] > policy.retries:
@@ -366,6 +379,8 @@ class Supervisor:
                         dead_pool = True  # a worker is stuck; kill the pool
                         continue
                     except BrokenProcessPool as exc:
+                        if self.fail_fast:
+                            raise
                         # Culprit unknown: strike every task poisoned by
                         # this break.  Innocents finish on the respawned
                         # pool long before their strikes run out.
@@ -375,20 +390,13 @@ class Supervisor:
                         dead_pool = True
                         continue
                     except Exception as exc:  # noqa: BLE001 - task raised
+                        if self.fail_fast:
+                            raise
                         attempts[index] += 1
                         status.attempts = attempts[index]
                         if attempts[index] > policy.retries:
                             status.state = STATE_FAILED
                             status.error = str(exc)
-                        else:
-                            next_todo.append(index)
-                        continue
-                    if not validate_center_result(result):
-                        attempts[index] += 1
-                        status.attempts = attempts[index]
-                        if attempts[index] > policy.retries:
-                            status.state = STATE_FAILED
-                            status.error = "returned a malformed (garbage) result"
                         else:
                             next_todo.append(index)
                         continue
@@ -411,6 +419,11 @@ class Supervisor:
                         if delay:
                             time.sleep(delay)
                 todo = next_todo
-        finally:
             if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                pool.shutdown(wait=True)  # fault-free end: join the workers
+        except BaseException:
+            # Fail-fast task exceptions, Ctrl-C and failed respawns must
+            # not orphan workers: stop now, hung ones included.
+            if pool is not None:
+                self._kill_pool(pool)
+            raise

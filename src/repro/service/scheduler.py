@@ -107,6 +107,8 @@ class GraphStore:
                 return entry[1], entry[2]
         try:
             graph = read_edgelist(path)
+            if graph.number_of_edges() == 0:
+                raise ValueError("edge list has no edges")
         except (OSError, UnicodeDecodeError, ValueError) as exc:
             message = str(exc) or exc.__class__.__name__
             raise ProtocolError(ERR_NOT_FOUND, f"{path}: {message}") from exc
@@ -525,8 +527,8 @@ class CoalescingScheduler:
             for name, status in engine.last_run.metrics.items()
         }
         self.counters["engine_passes"] += 1
-        # "computed" (supervised) and "legacy" (unsupervised) both mean
-        # this pass ran the BFS fresh; only "cache" skipped the work.
+        # "computed" means this pass ran the BFS fresh; only "cache"
+        # skipped the work.
         self.counters["series_computed"] += sum(
             1 for source in sources.values() if source != "cache"
         )

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -146,6 +148,29 @@ def test_compare_reports_bad_file_even_after_good_ones(tmp_path, capsys):
     assert "bad.edges" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "{path}"],
+        ["signature", "{path}", "--centers", "3", "--no-cache"],
+        ["hierarchy", "{path}"],
+        ["compare", "{path}"],
+        ["report", "{path}", "--no-cache", "--journal", "{journal}"],
+    ],
+    ids=["info", "signature", "hierarchy", "compare", "report"],
+)
+def test_edge_list_without_edges_exits_2(tmp_path, capsys, argv):
+    # An empty (comments-only) edge list used to print a signature of
+    # nothing, or crash deep in the hierarchy classifier.
+    path = tmp_path / "empty.edges"
+    path.write_text("# no edges here\n\n")
+    journal = str(tmp_path / "j.jsonl")
+    code = main([arg.format(path=path, journal=journal) for arg in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: {path}: edge list has no edges"
+
+
 # ----------------------------------------------------------------------
 # sweep / report commands with checkpoint + resume
 # ----------------------------------------------------------------------
@@ -181,6 +206,23 @@ def test_report_command_writes_markdown_and_resumes(tmp_path, capsys):
 
     assert main(argv + ["--resume"]) == 0
     assert "Restored from checkpoint journal" in capsys.readouterr().out
+
+
+def test_report_journals_centers_without_runtime_flags(tmp_path, capsys):
+    # No --deadline/--retries: the per-center journal is still written,
+    # so a killed report resumes mid-topology, not just between rows.
+    edges = tmp_path / "g.edges"
+    write_edgelist(plrg(250, 2.246, seed=4), edges)
+    journal = tmp_path / "report.jsonl"
+    argv = [
+        "report", str(edges), "--centers", "3", "--max-ball", "150",
+        "--journal", str(journal), "--no-cache",
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    keys = [json.loads(line)["k"] for line in journal.read_text().splitlines()]
+    assert any(key.startswith("center|") for key in keys)
+    assert keys[-1].startswith("reportrow|")
 
 
 # ----------------------------------------------------------------------

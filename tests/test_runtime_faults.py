@@ -15,6 +15,7 @@ must converge to the same numbers an unfaulted run produces:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 import signal
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.engine import MetricEngine, MetricRequest
+from repro.engine.core import _compute_center
 from repro.generators import plrg
 from repro.harness import SWEEP_GRIDS, read_series_json, sweep, write_series_json
 from repro.runtime import (
@@ -35,8 +37,10 @@ from repro.runtime import (
     STATE_TIMEOUT,
     FaultPlan,
     FaultSpec,
+    FAULTS_ENV_VAR,
     Journal,
     RuntimePolicy,
+    Supervisor,
     read_journal_records,
 )
 from repro.runtime import shm
@@ -256,11 +260,11 @@ def test_shm_released_when_dispatch_raises(baseline, monkeypatch):
     g, _ = baseline
     engine = MetricEngine(workers=2, use_cache=False, transport="shm")
 
-    def boom(self, ctx, plans, tasks):
+    def boom(self, *args):
         assert shm.active_segments()  # published before dispatch
         raise RuntimeError("dispatch exploded")
 
-    monkeypatch.setattr(MetricEngine, "_execute_parallel", boom)
+    monkeypatch.setattr(Supervisor, "_run_parallel", boom)
     with pytest.raises(RuntimeError, match="dispatch exploded"):
         engine.compute(g, REQUESTS)
     assert_no_shm_leak()
@@ -291,8 +295,89 @@ def test_compute_context_pickle_round_trip_and_copy_fallback(baseline):
 
 
 # ----------------------------------------------------------------------
+# No runtime policy: fail-fast, same executor
+# ----------------------------------------------------------------------
+
+def _divide_by_zero_on_center_1(ctx, plan, ci):
+    if ci == 1:
+        raise ZeroDivisionError("center 1 divided by zero")
+    return _compute_center(ctx, plan, ci)
+
+
+class DividingEngine(MetricEngine):
+    """An engine whose per-center function fails on center 1 of every
+    plan (module-level, so pool workers can unpickle it)."""
+
+    _center_task = staticmethod(_divide_by_zero_on_center_1)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_unsupervised_task_error_propagates_and_cleans_up(
+    baseline, workers, monkeypatch
+):
+    monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+    g, _ = baseline
+    before = set(multiprocessing.active_children())
+    engine = DividingEngine(workers=workers, use_cache=False, transport="shm")
+    with pytest.raises(ZeroDivisionError, match="center 1 divided by zero"):
+        engine.compute(g, REQUESTS)
+    assert set(multiprocessing.active_children()) <= before
+    assert_no_shm_leak()
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_supervised_task_error_returns_partial_series(baseline, workers):
+    g, expected = baseline
+    engine = DividingEngine(
+        workers=workers, use_cache=False, runtime=quiet_policy(retries=0)
+    )
+    series = engine.compute(g, REQUESTS)
+    assert series["resilience"] != expected["resilience"]
+    for status in engine.last_run.metrics.values():
+        assert status.states[1] == STATE_FAILED
+        assert status.errors[1] == "center 1 divided by zero"
+        assert not status.complete
+    assert_no_shm_leak()
+
+
+def test_unsupervised_run_reports_every_center_ok(baseline, monkeypatch):
+    monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+    g, _ = baseline
+    engine = MetricEngine(use_cache=False)
+    engine.compute(g, REQUESTS)
+    assert engine.runtime is None
+    assert engine.last_run.to_payload() == {
+        "expansion": {
+            "source": "computed", "states": [STATE_OK] * 5,
+            "errors": [], "complete": True,
+        },
+        "resilience": {
+            "source": "computed", "states": [STATE_OK] * 4,
+            "errors": [], "complete": True,
+        },
+    }
+
+
+# ----------------------------------------------------------------------
 # Checkpoint journal
 # ----------------------------------------------------------------------
+
+def test_journal_works_without_a_runtime_policy(baseline, tmp_path, monkeypatch):
+    monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+    g, expected = baseline
+    jpath = str(tmp_path / "journal.jsonl")
+    first = MetricEngine(use_cache=False, journal=jpath)
+    assert repr(first.compute(g, REQUESTS)) == repr(expected)
+    assert first.runtime is None
+    assert first.stats["centers_computed"] == 9
+    records, _corrupt = read_journal_records(jpath)
+    assert sum(1 for key, _payload in records if key.startswith("center|")) == 9
+
+    resumed = MetricEngine(use_cache=False, journal=jpath)
+    assert repr(resumed.compute(g, REQUESTS)) == repr(expected)
+    assert resumed.stats["centers_computed"] == 0
+    assert resumed.stats["journal_skipped"] == 9
+
 
 def test_journal_resume_recomputes_nothing_and_is_bitwise_equal(baseline, tmp_path):
     g, expected = baseline

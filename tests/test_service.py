@@ -275,6 +275,41 @@ def test_server_rejects_malformed_and_unknown_graph(tmp_path):
             assert err.value.code == "not-found"
 
 
+def test_server_answers_an_edgeless_graph_as_malformed(tmp_path):
+    empty = tmp_path / "empty.edges"
+    empty.write_text("# no edges here\n")
+    sock = _socket_path()
+    with ReproServer(socket_path=sock, cache_dir=str(tmp_path / "svc-cache")):
+        with ServiceClient(sock) as client:
+            with pytest.raises(ServiceError) as err:
+                client.metric(str(empty), "expansion")
+            assert err.value.code == "not-found"
+            assert str(err.value) == f"{empty}: edge list has no edges"
+            assert client.status()["counters"]["engine_passes"] == 0
+
+
+def test_server_fresh_metric_provenance_carries_the_run_report(tmp_path):
+    # The shape docs/SERVICE.md shows for a freshly computed answer.
+    graph = _write_graph(tmp_path / "g.edges")
+    sock = _socket_path()
+    with ReproServer(socket_path=sock, cache_dir=str(tmp_path / "svc-cache")):
+        with ServiceClient(sock) as client:
+            response = client.request(
+                "metric",
+                {"graph": graph, "metric": "expansion",
+                 "params": {"num_centers": 3, "seed": 1}},
+            )
+    assert response["provenance"] == {
+        "source": "computed",
+        "report": {
+            "source": "computed",
+            "states": ["ok", "ok", "ok"],
+            "errors": [],
+            "complete": True,
+        },
+    }
+
+
 #: Malformed parameters: each must be refused before admission, never
 #: reach an engine pass, and never be coerced into a valid cache key.
 MALFORMED_PARAMS = [
