@@ -40,17 +40,20 @@ The engine freezes the input graph once per :meth:`compute` into a
 and runs BFS through the vectorized kernels in
 :mod:`repro.graph.kernels`; worker processes are initialised with the
 compact CSR arrays instead of re-pickling the dict-of-sets graph.  Ball
-subgraphs are induced on the *canonical thawed* graph (``csr.thaw()``),
-so member ordering — and therefore every downstream float — is a pure
-function of graph content, independent of adjacency-set insertion
-history.
+members are taken in ascending node index, so member ordering — and
+therefore every downstream float — is a pure function of graph
+content, independent of adjacency-set insertion history.  Only policy
+plans thaw the whole graph (``csr.thaw()``), to route over it.
 
 Evaluation follows one rule.  For a ball that is not a policy ball, a
 metric with a ``batch_evaluator`` runs it once per center over the
 whole radius schedule, fused into one
 :class:`~repro.graph.kernels.FusedBatch`.  Every other case — clustering,
 path length, and every policy ball of every metric — runs the metric's
-dict ``evaluator`` on the canonical thawed ball.  The dict-only engine
+dict ``evaluator`` on the canonical thawed ball: outside policy balls,
+the ball's own sub-CSR thawed (``FusedBatch.sub_csr(i).thaw()``, the
+same nodes and adjacency sets as ``csr.thaw().subgraph(members)``);
+for policy balls, the ball built from the policy DAG.  The dict-only engine
 that the batch kernels are tested bitwise-equal against is
 :class:`repro.testing.OracleEngine`; it replaces the per-center function
 (``MetricEngine._center_task``) and nothing else.
@@ -140,7 +143,8 @@ class _ComputeContext:
     pool worker) instead of the raw graph: pickling it ships only the compact
     CSR arrays — or, after :meth:`publish`, just a shared-memory
     :class:`~repro.runtime.shm.SegmentHandle` that workers attach to
-    zero-copy.  Each worker thaws the canonical ``Graph`` at most once.
+    zero-copy.  Only policy plans read :attr:`graph`; a process running
+    them thaws the canonical ``Graph`` at most once.
     """
 
     __slots__ = ("csr", "_graph", "_segment")
@@ -240,7 +244,6 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
     group_contributions: List[List[Tuple[int, int, Dict[int, float]]]] = []
     if plan.groups:
         cumulative = np.cumsum(per_level)
-        nodes = ctx.csr.node_list()
         for group in plan.groups:
             rngs = {
                 member.rid: (
@@ -265,32 +268,34 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
                     break
                 schedule.append((radius, size))
 
-            # The one evaluator rule.  Outside policy balls, a metric
-            # with a batch evaluator runs once over the member's whole
-            # fused schedule, before the per-radius loop (bitwise equal
-            # to the dict evaluator: each member draws from its *own*
-            # rng stream, so consuming it across all balls up front is
-            # the draw sequence the per-ball loop makes).  Everything
-            # else runs the dict evaluator on a lazily built ball.
             fused = None
+            if dag is None and schedule:
+                fused = kernels.FusedBatch(
+                    kernels.BallBatch(
+                        ctx.csr,
+                        [
+                            kernels.ball_members(dist, radius)
+                            for radius, _size in schedule
+                        ],
+                    )
+                )
+            # The one evaluator rule.  Outside policy balls, a metric
+            # with a batch evaluator runs once over the fused schedule,
+            # before the per-radius loop (bitwise equal to the dict
+            # evaluator: each member draws from its *own* rng stream,
+            # so consuming it across all balls up front is the draw
+            # sequence the per-ball loop makes).  Everything else runs
+            # the dict evaluator on a lazily built ball; outside policy
+            # balls that is the ball's own sub-CSR, thawed — the nodes
+            # (ascending index) and adjacency sets the whole graph's
+            # canonical thaw would induce, without thawing the graph.
             fused_values: Dict[int, List[float]] = {}
             for member in group.members:
                 spec = METRICS[member.name]
-                if dag is not None or not schedule or spec.batch_evaluator is None:
-                    continue
-                if fused is None:
-                    fused = kernels.FusedBatch(
-                        kernels.BallBatch(
-                            ctx.csr,
-                            [
-                                kernels.ball_members(dist, radius)
-                                for radius, _size in schedule
-                            ],
-                        )
+                if fused is not None and spec.batch_evaluator is not None:
+                    fused_values[member.rid] = spec.batch_evaluator(
+                        fused, rngs[member.rid], member.eval_params
                     )
-                fused_values[member.rid] = spec.batch_evaluator(
-                    fused, rngs[member.rid], member.eval_params
-                )
             contributions: List[Tuple[int, int, Dict[int, float]]] = []
             for bi, (radius, size) in enumerate(schedule):
                 ball = None
@@ -300,17 +305,11 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
                         values[member.rid] = fused_values[member.rid][bi]
                         continue
                     if ball is None:
-                        if dag is not None:
-                            ball = _policy_ball_from_dag(dag, radius)
-                        else:
-                            # Canonical members: ascending node index.
-                            # The induced subgraph (and so every
-                            # evaluator float) is a pure function of
-                            # graph content.
-                            members = kernels.ball_members(dist, radius)
-                            ball = ctx.graph.subgraph(
-                                [nodes[i] for i in members]
-                            )
+                        ball = (
+                            _policy_ball_from_dag(dag, radius)
+                            if dag is not None
+                            else fused.sub_csr(bi).thaw()
+                        )
                     values[member.rid] = METRICS[member.name].evaluator(
                         ball, rngs[member.rid], member.eval_params
                     )

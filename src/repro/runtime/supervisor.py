@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
+from concurrent.futures import ProcessPoolExecutor, wait as wait_futures
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -355,17 +355,12 @@ class Supervisor:
                         # fault of its own: requeue penalty-free.
                         next_todo.append(index)
                         continue
-                    try:
-                        result = future.result(
-                            timeout=None if future.done() else policy.deadline
-                        )
-                        if not validate_center_result(result):
-                            raise GarbageResultError(
-                                "returned a malformed (garbage) result"
-                            )
-                    except FutureTimeout:
-                        if self.fail_fast:  # the task itself raised it
-                            raise
+                    # Wait first, then read: a task that itself raises
+                    # ``TimeoutError`` (``concurrent.futures.TimeoutError``
+                    # on 3.11+) is a task error, not an expired deadline.
+                    if not future.done():
+                        wait_futures([future], timeout=policy.deadline)
+                    if not future.done():
                         attempts[index] += 1
                         status.attempts = attempts[index]
                         if attempts[index] > policy.retries:
@@ -378,6 +373,12 @@ class Supervisor:
                             next_todo.append(index)
                         dead_pool = True  # a worker is stuck; kill the pool
                         continue
+                    try:
+                        result = future.result()
+                        if not validate_center_result(result):
+                            raise GarbageResultError(
+                                "returned a malformed (garbage) result"
+                            )
                     except BrokenProcessPool as exc:
                         if self.fail_fast:
                             raise

@@ -20,6 +20,7 @@ from repro.engine import (
 from repro.generators.canonical import kary_tree, mesh
 from repro.generators.plrg import plrg
 from repro.graph.core import Graph
+from repro.graph.csr import CSRGraph
 from repro.graph.traversal import bfs_distances
 from repro.internet import synthetic_as_graph
 from repro.internet.asgraph import ASGraphParams
@@ -515,6 +516,51 @@ def test_kernels_on_off_bitwise_identical(graph_name, graph, monkeypatch):
     for metric in LEGACY_FUNCTIONS:
         assert with_kernels[metric] == without_kernels[metric], metric
     assert kernel_engine.last_run == plain_engine.last_run
+
+
+def _record_thaws(monkeypatch):
+    """Wrap ``CSRGraph.thaw`` to record the node count of every call."""
+    thawed = []
+    original = CSRGraph.thaw
+
+    def recording_thaw(self):
+        thawed.append(self.number_of_nodes())
+        return original(self)
+
+    monkeypatch.setattr(CSRGraph, "thaw", recording_thaw)
+    return thawed
+
+
+def test_non_policy_pass_never_thaws_the_whole_graph(monkeypatch):
+    # Clustering and path length run their dict evaluators on each
+    # ball's own sub-CSR thaw; nothing thaws the whole graph.
+    graph = plrg(3000, seed=2)
+    n = graph.number_of_nodes()
+    thawed = _record_thaws(monkeypatch)
+    requests = [request_for(name) for name in sorted(LEGACY_FUNCTIONS)]
+    results = MetricEngine(workers=0, use_cache=False).compute(graph, requests)
+    assert all(results[name] for name in LEGACY_FUNCTIONS)
+    assert thawed, "the dict evaluators never ran"
+    assert max(thawed) < n
+
+
+def test_policy_pass_still_thaws_the_whole_graph(monkeypatch):
+    as_graph = synthetic_as_graph(ASGraphParams(n=200), seed=4)
+    n = as_graph.graph.number_of_nodes()
+    thawed = _record_thaws(monkeypatch)
+    MetricEngine(workers=0, use_cache=False).compute(
+        as_graph.graph,
+        [
+            MetricRequest(
+                "clustering",
+                num_centers=2,
+                max_ball_size=150,
+                rels=as_graph.relationships,
+                seed=5,
+            )
+        ],
+    )
+    assert n in thawed
 
 
 # ----------------------------------------------------------------------

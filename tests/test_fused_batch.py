@@ -221,6 +221,43 @@ def test_fused_equals_per_ball_loop_byte_for_byte(drawn):
     assert_fused_matches_per_ball(batch, fused, seed)
 
 
+@st.composite
+def relabeled_graph_and_schedule(draw):
+    """A graph with shuffled string labels plus one center's radius
+    schedule, so node index and node label disagree."""
+    base = draw(graphs(min_nodes=1, max_nodes=14))
+    n = base.number_of_nodes()
+    labels = draw(st.permutations([f"v{i}" for i in range(n)]))
+    g = Graph(name="relabeled")
+    g.add_nodes_from(labels)
+    g.add_edges_from((labels[u], labels[v]) for u, v in base.iter_edges())
+    csr = g.freeze()
+    dist = kernels.bfs_levels(csr, draw(st.integers(0, n - 1)))
+    max_radius = int(dist.max())
+    return csr, [
+        kernels.ball_members(dist, radius) for radius in range(max_radius + 1)
+    ]
+
+
+@given(relabeled_graph_and_schedule())
+@settings(max_examples=60, deadline=None)
+def test_sub_csr_thaw_equals_whole_graph_thaw_subgraph(drawn):
+    # The engine's dict evaluators read sub_csr(i).thaw(); it must be
+    # the ball the whole graph's canonical thaw would induce.
+    csr, schedule = drawn
+    fused = FusedBatch(BallBatch(csr, schedule))
+    whole = csr.thaw()
+    nodes = csr.node_list()
+    for i, members in enumerate(schedule):
+        got = fused.sub_csr(i).thaw()
+        want = whole.subgraph([nodes[j] for j in members])
+        assert got.nodes() == want.nodes()
+        for node in want.nodes():
+            assert got.neighbors(node) == want.neighbors(node)
+        assert got.number_of_edges() == want.number_of_edges()
+        assert got.name == want.name
+
+
 @given(connected_graphs(min_nodes=3, max_nodes=10), st.integers(0, 2**16 - 1))
 @settings(max_examples=15, deadline=None)
 def test_engine_matches_oracle_on_all_seven_series(g, seed):

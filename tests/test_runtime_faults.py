@@ -340,6 +340,59 @@ def test_supervised_task_error_returns_partial_series(baseline, workers):
     assert_no_shm_leak()
 
 
+def _time_out_on_center_1(ctx, plan, ci):
+    if ci == 1:
+        raise TimeoutError("center 1 gave up on its own")
+    return _compute_center(ctx, plan, ci)
+
+
+class TimingOutEngine(MetricEngine):
+    """An engine whose per-center function raises the builtin
+    ``TimeoutError`` on center 1: a task error, not a deadline expiry."""
+
+    _center_task = staticmethod(_time_out_on_center_1)
+
+
+@pytest.mark.parametrize("deadline", [30.0, None])
+def test_task_raised_timeout_error_is_a_failure_not_an_expiry(
+    baseline, deadline, monkeypatch
+):
+    g, _ = baseline
+    kills = []
+    real_kill = Supervisor._kill_pool
+
+    def recording_kill(self, pool):
+        kills.append(pool)
+        real_kill(self, pool)
+
+    monkeypatch.setattr(Supervisor, "_kill_pool", recording_kill)
+    engine = TimingOutEngine(
+        workers=2,
+        use_cache=False,
+        runtime=quiet_policy(deadline=deadline, retries=0),
+    )
+    engine.compute(g, REQUESTS)
+    for status in engine.last_run.metrics.values():
+        assert status.states[1] == STATE_FAILED
+        assert status.errors[1] == "center 1 gave up on its own"
+        assert status.states.count(STATE_OK) == len(status.states) - 1
+    assert kills == []  # no worker was stuck, so no pool was killed
+    assert_no_shm_leak()
+
+
+def test_unsupervised_task_timeout_error_propagates_unchanged(
+    baseline, monkeypatch
+):
+    monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+    g, _ = baseline
+    before = set(multiprocessing.active_children())
+    engine = TimingOutEngine(workers=2, use_cache=False)
+    with pytest.raises(TimeoutError, match="center 1 gave up on its own"):
+        engine.compute(g, REQUESTS)
+    assert set(multiprocessing.active_children()) <= before
+    assert_no_shm_leak()
+
+
 def test_unsupervised_run_reports_every_center_ok(baseline, monkeypatch):
     monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
     g, _ = baseline

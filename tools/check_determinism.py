@@ -4,8 +4,11 @@ report, byte for byte.
 
 Generates two small topologies, runs ``repro compare`` on them twice
 (cache disabled, fresh process each time so no in-process state can
-leak), and diffs the two reports.  Any drift — RNG seeded off the
-clock, dict-ordering leaks, float nondeterminism — fails the build.
+leak), and diffs the two reports.  Each run also appends the output of
+``repro metric clustering`` and ``repro metric path-length`` on the
+PLRG, so the two dict-evaluator series are gated too.  Any drift — RNG
+seeded off the clock, dict-ordering leaks, float nondeterminism — fails
+the build.
 
 Usage: python tools/check_determinism.py [--workers N]
 """
@@ -22,14 +25,16 @@ import tempfile
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(args: list[str], cwd: str) -> None:
+def run_cli(args: list[str], cwd: str) -> str:
+    """Run ``python -m repro ARGS``; returns its stdout."""
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + os.pathsep + existing if existing else src
-    subprocess.run(
-        [sys.executable, "-m", "repro", *args], cwd=cwd, env=env, check=True
-    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        cwd=cwd, env=env, check=True, stdout=subprocess.PIPE, text=True,
+    ).stdout
 
 
 def main() -> int:
@@ -44,20 +49,19 @@ def main() -> int:
             ["generate", "plrg", "--n", "300", "--seed", "5", "--out", plrg], tmp
         )
 
+        ball_flags = [
+            "--centers", "4", "--max-ball", "200",
+            "--workers", str(opts.workers), "--no-cache",
+        ]
         reports = []
         for i in (1, 2):
             out = os.path.join(tmp, f"report{i}.md")
-            run_cli(
-                [
-                    "compare", tree, plrg,
-                    "--centers", "4", "--max-ball", "200",
-                    "--workers", str(opts.workers),
-                    "--no-cache", "--out", out,
-                ],
-                tmp,
-            )
+            run_cli(["compare", tree, plrg, *ball_flags, "--out", out], tmp)
             with open(out) as fh:
-                reports.append(fh.read())
+                report = fh.read()
+            for metric in ("clustering", "path-length"):
+                report += run_cli(["metric", plrg, metric, *ball_flags], tmp)
+            reports.append(report)
 
     if reports[0] != reports[1]:
         sys.stderr.write("determinism check FAILED: reports differ\n\n")
