@@ -27,7 +27,6 @@ from repro.graph.kernels import (
     vertex_cover_size_csr,
 )
 from repro.graph.kernels_flow import (
-    FlowCapacityOverflow,
     bisection_cut_csr,
     max_flow_min_cut,
     resilience_csr,
@@ -97,7 +96,6 @@ __all__ = [
     "batch_biconnected_counts",
     "vertex_cover_size_csr",
     "count_biconnected_csr",
-    "FlowCapacityOverflow",
     "max_flow_min_cut",
     "bisection_cut_csr",
     "resilience_csr",

@@ -57,55 +57,62 @@ class Dinic:
         return edge_id
 
     def _bfs_levels(self, source: int, sink: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[source] = 0
+        to, cap, head = self.to, self.cap, self.head
+        level = self.level = [-1] * self.n
+        level[source] = 0
         frontier = deque([source])
         while frontier:
             u = frontier.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    frontier.append(v)
-        return self.level[sink] >= 0
+            next_level = level[u] + 1
+            for eid in head[u]:
+                if cap[eid] > 0:
+                    v = to[eid]
+                    if level[v] < 0:
+                        level[v] = next_level
+                        frontier.append(v)
+        return level[sink] >= 0
 
     def _dfs_blocking(self, source: int, sink: int) -> float:
+        to, cap, head, level = self.to, self.cap, self.head, self.level
         total = 0.0
         it = [0] * self.n  # per-node pointer into head lists
         path: List[int] = []  # edge ids along the current partial path
         u = source
         while True:
             if u == sink:
-                bottleneck = min(self.cap[eid] for eid in path)
+                bottleneck = min([cap[eid] for eid in path])
                 for eid in path:
-                    self.cap[eid] -= bottleneck
-                    self.cap[eid ^ 1] += bottleneck
+                    cap[eid] -= bottleneck
+                    cap[eid ^ 1] += bottleneck
                 total += bottleneck
                 # Retreat to just before the first saturated edge.
                 for i, eid in enumerate(path):
-                    if self.cap[eid] <= 0:
+                    if cap[eid] <= 0:
                         del path[i:]
                         break
-                u = self.to[path[-1]] if path else source
+                u = to[path[-1]] if path else source
                 continue
-            advanced = False
-            while it[u] < len(self.head[u]):
-                eid = self.head[u][it[u]]
-                v = self.to[eid]
-                if self.cap[eid] > 0 and self.level[v] == self.level[u] + 1:
-                    path.append(eid)
-                    u = v
-                    advanced = True
+            # Scan u's arcs from its pointer for an admissible one; the
+            # pointer stays on the arc taken.
+            row = head[u]
+            want = level[u] + 1
+            for i in range(it[u], len(row)):
+                eid = row[i]
+                if cap[eid] > 0 and level[to[eid]] == want:
                     break
-                it[u] += 1
-            if advanced:
+            else:
+                i = len(row)
+            it[u] = i
+            if i < len(row):
+                path.append(eid)
+                u = to[eid]
                 continue
             if u == source:
                 break
             # Dead end: exclude this node from the level graph and retreat.
-            self.level[u] = -1
+            level[u] = -1
             eid = path.pop()
-            u = self.to[eid ^ 1]
+            u = to[eid ^ 1]
             it[u] += 1
         return total
 
@@ -133,6 +140,57 @@ class Dinic:
         return reach
 
 
+def _cover_network(
+    left_weights: Dict[Hashable, float],
+    right_weights: Dict[Hashable, float],
+    pairs: Iterable[Tuple[Hashable, Hashable]],
+) -> Tuple[Dinic, Dict[Hashable, int], Dict[Hashable, int]]:
+    """The min-cut network of a weighted bipartite cover instance.
+
+    Left vertices are nodes ``0..L-1`` and right vertices ``L..n-1`` in
+    weight-map order; the source is ``n`` and the sink ``n + 1``.  The
+    arc lists are built in one shot, identical to calling
+    :meth:`Dinic.add_edge` for source -> each left vertex, each right
+    vertex -> sink, then one infinite arc per pair, in that order.
+    Returns the network and the two vertex-index maps.
+    """
+    left_index = {v: i for i, v in enumerate(left_weights)}
+    offset = len(left_index)
+    right_index = {v: offset + i for i, v in enumerate(right_weights)}
+    n = offset + len(right_index)
+    source, sink = n, n + 1
+    lefts, rights = list(zip(*pairs)) or [(), ()]
+    tails = list(map(left_index.__getitem__, lefts))
+    heads = list(map(right_index.__getitem__, rights))
+    caps = [*left_weights.values(), *right_weights.values()]
+    if any(w < 0 for w in caps):
+        raise ValueError("capacity must be non-negative")
+
+    # Arc 2k is the k-th added arc and 2k + 1 its reverse.
+    first_pair = 2 * n
+    network = Dinic(n + 2)
+    to = network.to = [0] * (first_pair + 2 * len(tails))
+    to[0 : 2 * offset : 2] = range(offset)
+    to[1 : 2 * offset : 2] = [source] * offset
+    to[2 * offset : first_pair : 2] = [sink] * (n - offset)
+    to[2 * offset + 1 : first_pair : 2] = range(offset, n)
+    to[first_pair::2] = heads
+    to[first_pair + 1 :: 2] = tails
+    cap = network.cap = [0.0] * len(to)
+    cap[0:first_pair:2] = caps
+    cap[first_pair::2] = [INF] * len(tails)
+    head = network.head
+    for v in range(n):
+        head[v].append(2 * v + 1 if v < offset else 2 * v)
+    head[source].extend(range(0, 2 * offset, 2))
+    head[sink].extend(range(2 * offset + 1, first_pair, 2))
+    for eid, u in enumerate(tails, first_pair // 2):
+        head[u].append(2 * eid)
+    for eid, v in enumerate(heads, first_pair // 2):
+        head[v].append(2 * eid + 1)
+    return network, left_index, right_index
+
+
 def bipartite_vertex_cover_weight(
     left_weights: Dict[Hashable, float],
     right_weights: Dict[Hashable, float],
@@ -150,19 +208,8 @@ def bipartite_vertex_cover_weight(
 
     Returns the minimum total weight of a vertex set touching every pair.
     """
-    left_index = {v: i for i, v in enumerate(left_weights)}
-    offset = len(left_index)
-    right_index = {v: offset + i for i, v in enumerate(right_weights)}
-    n = offset + len(right_index)
-    source, sink = n, n + 1
-    dinic = Dinic(n + 2)
-    for v, w in left_weights.items():
-        dinic.add_edge(source, left_index[v], w)
-    for v, w in right_weights.items():
-        dinic.add_edge(right_index[v], sink, w)
-    for u, v in pairs:
-        dinic.add_edge(left_index[u], right_index[v], INF)
-    return dinic.max_flow(source, sink)
+    network, _left, _right = _cover_network(left_weights, right_weights, pairs)
+    return network.max_flow(network.n - 2, network.n - 1)
 
 
 def bipartite_vertex_cover(
@@ -176,20 +223,12 @@ def bipartite_vertex_cover(
     cover iff it is *unreachable* from the source in the residual graph, a
     right vertex iff it is reachable.
     """
-    left_index = {v: i for i, v in enumerate(left_weights)}
-    offset = len(left_index)
-    right_index = {v: offset + i for i, v in enumerate(right_weights)}
-    n = offset + len(right_index)
-    source, sink = n, n + 1
-    dinic = Dinic(n + 2)
-    for v, w in left_weights.items():
-        dinic.add_edge(source, left_index[v], w)
-    for v, w in right_weights.items():
-        dinic.add_edge(right_index[v], sink, w)
-    for u, v in pairs:
-        dinic.add_edge(left_index[u], right_index[v], INF)
-    weight = dinic.max_flow(source, sink)
-    reach = dinic.min_cut_reachable(source)
+    network, left_index, right_index = _cover_network(
+        left_weights, right_weights, pairs
+    )
+    source = network.n - 2
+    weight = network.max_flow(source, network.n - 1)
+    reach = network.min_cut_reachable(source)
     cover: List[Hashable] = []
     for v, i in left_index.items():
         if not reach[i]:

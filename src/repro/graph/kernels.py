@@ -41,6 +41,10 @@ from repro.graph.csr import CSRGraph
 UNREACHED = -1
 
 
+#: Path counts at or above this raise :class:`PathCountOverflow`.
+_SIGMA_BOUND = float(1 << 62)
+
+
 class PathCountOverflow(OverflowError):
     """Equal-cost path counts exceeded the int64 range.
 
@@ -204,8 +208,9 @@ def bfs_with_path_counts(csr: CSRGraph, source: int):
     Returns ``(dist, sigma)``: ``dist`` as in :func:`bfs_levels` and
     ``sigma[i]`` the number of distinct shortest paths from ``source``
     to node ``i`` (0 for unreached nodes, 1 for the source).  Raises
-    :class:`PathCountOverflow` if a count leaves the int64 range — the
-    caller then falls back to the exact big-int dict implementation.
+    :class:`PathCountOverflow` if a count reaches 2**62, short of the
+    int64 range — the caller then falls back to the exact big-int dict
+    implementation.
     """
     n = csr.number_of_nodes()
     if not 0 <= source < n:
@@ -227,14 +232,19 @@ def bfs_with_path_counts(csr: CSRGraph, source: int):
         targets = neighbors[undiscovered]
         if not targets.size:
             break
-        np.add.at(sigma, targets, contributions[undiscovered])
+        contributions = contributions[undiscovered]
+        # Each count is below 2**62, but several can sum past 2**64 and
+        # wrap back to a positive int64, so bound the sums in float64
+        # rather than test the sign: their rounding error is far smaller
+        # than the gap between the bound and 2**63.
+        if np.bincount(targets, weights=contributions).max() >= _SIGMA_BOUND:
+            raise PathCountOverflow(
+                f"shortest-path count reached 2**62 at BFS depth {depth + 1}"
+            )
+        np.add.at(sigma, targets, contributions)
         depth += 1
         dist[targets] = depth
         frontier = np.flatnonzero(dist == depth)
-        if np.any(sigma[frontier] < 0):
-            raise PathCountOverflow(
-                f"shortest-path count exceeded int64 at BFS depth {depth}"
-            )
     return dist, sigma
 
 

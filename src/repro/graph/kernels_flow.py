@@ -7,11 +7,8 @@ resilience_of`.  This module re-implements the same *canonical*
 algorithm over CSR arrays:
 
 * :func:`max_flow_min_cut` — BFS-augmenting-path (Edmonds–Karp) max
-  flow over int64 arrays, with the residual-reachable source side of
-  the min cut.  Capacities that could overflow int64 raise
-  :class:`FlowCapacityOverflow` at construction and the public wrapper
-  falls back to an exact big-integer pure-Python path (mirroring
-  :class:`repro.graph.kernels.PathCountOverflow`).  The flow value and
+  flow over plain lists of exact Python integers, with the
+  residual-reachable source side of the min cut.  The flow value and
   the residual-reachable set are unique — identical for *every* max
   flow — so the kernel agrees with the twin's Dinic solver exactly.
 * :func:`bisection_cut_csr` / :func:`resilience_csr` — bitwise mirrors
@@ -52,10 +49,6 @@ from repro.graph.partition import (
     balance_bound,
 )
 
-#: Capacities (individually and in total) must stay below this for the
-#: int64 array solver; anything larger falls back to big integers.
-_INT64_SAFE = 1 << 62
-
 #: Arc list type for :func:`max_flow_min_cut`: directed ``(u, v, cap)``.
 Arc = Tuple[int, int, int]
 
@@ -64,117 +57,34 @@ Arc = Tuple[int, int, int]
 _Level = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-class FlowCapacityOverflow(OverflowError):
-    """Flow capacities exceeded the int64-safe range.
-
-    Raised by the array solver instead of silently wrapping; the public
-    :func:`max_flow_min_cut` catches it and falls back to the exact
-    big-integer implementation.
-    """
-
-
 # ----------------------------------------------------------------------
 # Max flow / min cut
 # ----------------------------------------------------------------------
 
-def _check_capacities(arcs: Sequence[Arc]) -> None:
-    """Raise :class:`FlowCapacityOverflow` unless int64 math is safe."""
-    total = 0
-    for _u, _v, cap in arcs:
-        if cap < 0 or cap >= _INT64_SAFE:
-            raise FlowCapacityOverflow(f"arc capacity {cap} outside int64-safe range")
-        total += cap
-    if total >= _INT64_SAFE:
-        raise FlowCapacityOverflow(f"total capacity {total} outside int64-safe range")
+def max_flow_min_cut(
+    num_nodes: int, arcs: Sequence[Arc], source: int, sink: int
+) -> Tuple[int, List[bool]]:
+    """Max s–t flow and the canonical min-cut source side.
 
+    ``arcs`` are directed ``(u, v, capacity)`` entries (the reverse
+    residual arc is created automatically with capacity 0 — the same
+    convention as :meth:`repro.graph.flow.Dinic.add_edge`).  Returns
+    ``(flow_value, reachable)`` where ``reachable[v]`` marks the nodes
+    residual-reachable from ``source`` after the flow — the source side
+    of the inclusion-minimal min cut, which is unique and therefore
+    independent of the augmenting order and of the solver used.
 
-def _residual_bfs(
-    adj_indptr: np.ndarray,
-    adj_arcs: np.ndarray,
-    head: np.ndarray,
-    cap: np.ndarray,
-    source: int,
-    num_nodes: int,
-) -> np.ndarray:
-    """Predecessor arcs of a BFS over positive-residual arcs.
-
-    Returns an int64 vector: ``-1`` unreached, ``-2`` for the source,
-    else the arc id that discovered the node.
+    Edmonds–Karp over plain lists of Python integers, so capacities of
+    any size stay exact.  The refinement networks of
+    :func:`bisection_cut_csr` have at most ``_FLOW_REGION_MAX + 2``
+    nodes, where per-call list work beats array dispatch.
     """
-    pred = np.full(num_nodes, -1, dtype=np.int64)
-    pred[source] = -2
-    frontier = np.array([source], dtype=np.int64)
-    scratch = np.zeros(num_nodes, dtype=bool)
-    while frontier.size:
-        arcs_out, _counts = _gather_rows(adj_indptr, adj_arcs, frontier)
-        if not arcs_out.size:
-            break
-        arcs_out = arcs_out[cap[arcs_out] > 0]
-        targets = head[arcs_out]
-        fresh = pred[targets] == -1
-        targets = targets[fresh]
-        if not targets.size:
-            break
-        # Duplicate targets keep the last writer's arc — any discovering
-        # arc is valid; the reachable set and flow value are unaffected.
-        pred[targets] = arcs_out[fresh]
-        scratch[targets] = True
-        frontier = np.flatnonzero(scratch)
-        scratch[frontier] = False
-    return pred
-
-
-def _max_flow_array(
-    num_nodes: int, arcs: Sequence[Arc], source: int, sink: int
-) -> Tuple[int, List[bool]]:
-    """Edmonds–Karp over int64 arrays; raises on capacity overflow."""
-    _check_capacities(arcs)
-    num_arcs = len(arcs)
-    head = np.empty(2 * num_arcs, dtype=np.int64)
-    tail = np.empty(2 * num_arcs, dtype=np.int64)
-    cap = np.zeros(2 * num_arcs, dtype=np.int64)
-    for i, (u, v, c) in enumerate(arcs):
-        tail[2 * i] = u
-        head[2 * i] = v
-        cap[2 * i] = c
-        tail[2 * i + 1] = v
-        head[2 * i + 1] = u
-    adj_arcs = np.argsort(tail, kind="stable")
-    adj_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tail, minlength=num_nodes), out=adj_indptr[1:])
-
-    flow = 0
-    while True:
-        pred = _residual_bfs(adj_indptr, adj_arcs, head, cap, source, num_nodes)
-        if pred[sink] == -1:
-            break
-        path: List[int] = []
-        bottleneck: Optional[int] = None
-        v = sink
-        while v != source:
-            a = int(pred[v])
-            path.append(a)
-            residual = int(cap[a])
-            if bottleneck is None or residual < bottleneck:
-                bottleneck = residual
-            v = int(head[a ^ 1])  # the paired reverse arc points at the tail
-        assert bottleneck is not None and bottleneck > 0
-        for a in path:
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-        flow += bottleneck
-    pred = _residual_bfs(adj_indptr, adj_arcs, head, cap, source, num_nodes)
-    return flow, [bool(p != -1) for p in pred.tolist()]
-
-
-def _max_flow_bigint(
-    num_nodes: int, arcs: Sequence[Arc], source: int, sink: int
-) -> Tuple[int, List[bool]]:
-    """Exact pure-Python Edmonds–Karp (arbitrary-precision capacities)."""
     head: List[int] = []
     cap: List[int] = []
     adj: List[List[int]] = [[] for _ in range(num_nodes)]
     for u, v, c in arcs:
+        if c < 0:
+            raise ValueError(f"arc capacity {c} is negative")
         adj[u].append(len(head))
         head.append(v)
         cap.append(c)
@@ -208,7 +118,7 @@ def _max_flow_bigint(
             path.append(a)
             if bottleneck is None or cap[a] < bottleneck:
                 bottleneck = cap[a]
-            v = head[a ^ 1]
+            v = head[a ^ 1]  # the paired reverse arc points at the tail
         assert bottleneck is not None and bottleneck > 0
         for a in path:
             cap[a] -= bottleneck
@@ -216,29 +126,6 @@ def _max_flow_bigint(
         flow += bottleneck
     pred = residual_bfs()
     return flow, [p != -1 for p in pred]
-
-
-def max_flow_min_cut(
-    num_nodes: int, arcs: Sequence[Arc], source: int, sink: int
-) -> Tuple[int, List[bool]]:
-    """Max s–t flow and the canonical min-cut source side.
-
-    ``arcs`` are directed ``(u, v, capacity)`` entries (the reverse
-    residual arc is created automatically with capacity 0 — the same
-    convention as :meth:`repro.graph.flow.Dinic.add_edge`).  Returns
-    ``(flow_value, reachable)`` where ``reachable[v]`` marks the nodes
-    residual-reachable from ``source`` after the flow — the source side
-    of the inclusion-minimal min cut, which is unique and therefore
-    independent of the augmenting order and of the solver used.
-
-    Capacities outside the int64-safe range make the array solver
-    raise :class:`FlowCapacityOverflow`; this wrapper then falls back
-    to the exact big-integer path, so callers always get exact values.
-    """
-    try:
-        return _max_flow_array(num_nodes, arcs, source, sink)
-    except FlowCapacityOverflow:
-        return _max_flow_bigint(num_nodes, arcs, source, sink)
 
 
 # ----------------------------------------------------------------------

@@ -20,11 +20,18 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.generators.base import Seed
 from repro.graph.core import Graph
 from repro.graph.cover import local_ratio_vertex_cover
 from repro.graph.flow import bipartite_vertex_cover_weight
-from repro.hierarchy.traversal_sets import Entry, LinkKey, link_traversal_sets
+from repro.hierarchy.traversal_sets import (
+    Entry,
+    LinkKey,
+    TraversalSet,
+    link_traversal_sets,
+)
 from repro.routing.policy import Relationships
 
 Node = Hashable
@@ -37,32 +44,60 @@ def link_value_from_entries(
 
     ``exact`` selects the min-cut solver; ``False`` uses the local-ratio
     2-approximation on the same bipartite instance.
+
+    Each side's vertices are numbered in order of first appearance and
+    each vertex weight is the mean of its entries' weights, summed in
+    entry order (``np.bincount`` adds in input order, as a running
+    ``sum += w`` does), so the cover instance is the same whatever the
+    entries' container.
     """
-    if not entries:
+    if not len(entries):
         return 0.0
-    left_sum: Dict[Node, float] = {}
-    left_count: Dict[Node, int] = {}
-    right_sum: Dict[Node, float] = {}
-    right_count: Dict[Node, int] = {}
-    pairs: List[Tuple[Node, Node]] = []
-    for u, v, w in entries:
-        left_sum[u] = left_sum.get(u, 0.0) + w
-        left_count[u] = left_count.get(u, 0) + 1
-        right_sum[v] = right_sum.get(v, 0.0) + w
-        right_count[v] = right_count.get(v, 0) + 1
-        pairs.append((u, v))
-    left_weights = {u: left_sum[u] / left_count[u] for u in left_sum}
-    right_weights = {v: right_sum[v] / right_count[v] for v in right_sum}
+    if not isinstance(entries, TraversalSet):
+        entries = TraversalSet.from_entries(entries)
+    left, left_nodes = _first_seen(entries.left)
+    right, right_nodes = _first_seen(entries.right)
+    left_weights = _mean_by_vertex(left, entries.weight)
+    right_weights = _mean_by_vertex(right, entries.weight)
     if exact:
-        return bipartite_vertex_cover_weight(left_weights, right_weights, pairs)
+        return bipartite_vertex_cover_weight(
+            dict(enumerate(left_weights)),
+            dict(enumerate(right_weights)),
+            zip(left.tolist(), right.tolist()),
+        )
+    left_nodes = [entries.nodes[i] for i in left_nodes]
+    right_nodes = [entries.nodes[i] for i in right_nodes]
     # Non-exact path: one weight map over both sides (node labels on the
     # two sides are disjoint node sets of the graph, so merging is safe —
     # a node cannot be on both sides of the same link's shortest paths).
-    weights = dict(left_weights)
-    for v, w in right_weights.items():
+    weights = dict(zip(left_nodes, left_weights))
+    for v, w in zip(right_nodes, right_weights):
         weights[v] = min(w, weights[v]) if v in weights else w
+    pairs = [
+        (left_nodes[u], right_nodes[v])
+        for u, v in zip(left.tolist(), right.tolist())
+    ]
     value, _cover = local_ratio_vertex_cover(weights, pairs)
     return value
+
+
+def _first_seen(ids: np.ndarray) -> Tuple[np.ndarray, List]:
+    """Renumber ``ids`` 0, 1, ... in order of first appearance.
+
+    Returns the per-entry numbers and the distinct ids in that order.
+    """
+    distinct, first, inverse = np.unique(
+        ids, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], distinct[order].tolist()
+
+
+def _mean_by_vertex(vertex: np.ndarray, weight: np.ndarray) -> List[float]:
+    """Each vertex's mean entry weight, summed in entry order."""
+    return (np.bincount(vertex, weights=weight) / np.bincount(vertex)).tolist()
 
 
 def link_values(

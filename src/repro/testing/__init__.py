@@ -38,6 +38,8 @@ from repro.testing.oracles import (
     oracle_bipartite_vertex_cover_weight,
     oracle_connected_components,
     oracle_exact_distortion,
+    oracle_link_traversal_sets,
+    oracle_link_value,
     oracle_min_st_cut,
     oracle_min_vertex_cover_size,
     oracle_spanning_tree_distortion,
@@ -62,6 +64,8 @@ __all__ = [
     "oracle_bipartite_vertex_cover_weight",
     "oracle_connected_components",
     "oracle_exact_distortion",
+    "oracle_link_traversal_sets",
+    "oracle_link_value",
     "oracle_min_st_cut",
     "oracle_min_vertex_cover_size",
     "oracle_spanning_tree_distortion",

@@ -12,10 +12,14 @@ implementations can be checked differentially (see
 :mod:`repro.testing.selfcheck` and ``tests/test_property_graph.py``).
 
 Oracles deliberately share no code with the implementations they check.
-The one exception is :class:`OracleEngine`, the dict-of-sets twin of
-the metric engine: it shares the engine's planning and merge and the
-metrics' dict evaluators, and replaces only the CSR BFS and the fused
-batch kernels.
+Two exceptions: :class:`OracleEngine`, the dict-of-sets twin of the
+metric engine, shares the engine's planning and merge and the metrics'
+dict evaluators, and replaces only the CSR BFS and the fused batch
+kernels; the Section 5 oracles (:func:`oracle_link_traversal_sets`,
+:func:`oracle_link_value`) walk the dict shortest-path DAG per pair and
+run ``Dinic.max_flow`` on a network built arc by arc, replacing only
+the array construction of traversal sets, vertex weights and cover
+networks.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence
 
 from repro.engine import METRICS, MetricEngine
 from repro.graph.core import Graph
+from repro.graph.flow import INF, Dinic
 from repro.graph.traversal import bfs_distances
 # The canonical Appendix E ball constructor, shared with the engine.
 from repro.metrics.balls import _policy_ball_from_dag
 from repro.routing.policy import policy_dag
+from repro.routing.shortest import pair_edge_fractions, shortest_path_dag
 
 Node = Hashable
 
@@ -253,6 +259,96 @@ def oracle_bipartite_vertex_cover_weight(
         if weight < best:
             best = weight
     return best
+
+
+# ----------------------------------------------------------------------
+# Section 5 traversal sets and link values
+# ----------------------------------------------------------------------
+
+def oracle_link_traversal_sets(
+    graph: Graph,
+    sources: Optional[Sequence[Node]] = None,
+    pair_weight=None,
+) -> Dict[Tuple[Node, Node], List[Tuple[Node, Node, float]]]:
+    """Shortest-path traversal sets by walking every pair's DAG.
+
+    One dict shortest-path DAG per source (Python-int path counts, so
+    never an overflow) and one
+    :func:`~repro.routing.shortest.pair_edge_fractions` walk per pair,
+    appending entries pair by pair.  The array construction in
+    :func:`repro.hierarchy.link_traversal_sets` must return the same
+    keys, entries, entry order and weight bits.
+    """
+    graph = graph.thaw() if not isinstance(graph, Graph) else graph
+    nodes = graph.nodes()
+    node_index = {node: i for i, node in enumerate(nodes)}
+    if sources is None:
+        sources = nodes
+
+    def canonical(u: Node, v: Node) -> Tuple[Node, Node]:
+        return (u, v) if node_index[u] <= node_index[v] else (v, u)
+
+    sets: Dict[Tuple[Node, Node], List[Tuple[Node, Node, float]]] = {
+        canonical(u, v): [] for u, v in graph.iter_edges()
+    }
+    source_set = set(sources)
+    for s in sources:
+        dag = shortest_path_dag(graph, s)
+        for t in nodes:
+            if t == s:
+                continue
+            # Each unordered pair once: skip (s, t) when t is also a
+            # source with smaller index.
+            if t in source_set and node_index[t] < node_index[s]:
+                continue
+            fractions = pair_edge_fractions(dag, t)
+            demand = pair_weight(s, t) if pair_weight is not None else 1.0
+            if demand <= 0:
+                continue
+            for (a, b), w in fractions.items():
+                # Edge traversed a -> b on the s -> t path: s on a's side.
+                key = canonical(a, b)
+                if key == (a, b):
+                    sets[key].append((s, t, w * demand))
+                else:
+                    sets[key].append((t, s, w * demand))
+    return sets
+
+
+def oracle_link_value(entries: Iterable[Tuple[Node, Node, float]]) -> float:
+    """One link's value from its entries, with dict sums and a Dinic
+    network built one :meth:`~repro.graph.flow.Dinic.add_edge` at a time.
+
+    Vertex weights are running ``dict.get(v, 0.0) + w`` sums over the
+    entries divided by entry counts, vertices numbered in first-seen
+    order — the reference for
+    :func:`repro.hierarchy.link_value_from_entries`.
+    """
+    left_sum: Dict[Node, float] = {}
+    left_count: Dict[Node, int] = {}
+    right_sum: Dict[Node, float] = {}
+    right_count: Dict[Node, int] = {}
+    pairs = []
+    for u, v, w in entries:
+        left_sum[u] = left_sum.get(u, 0.0) + w
+        left_count[u] = left_count.get(u, 0) + 1
+        right_sum[v] = right_sum.get(v, 0.0) + w
+        right_count[v] = right_count.get(v, 0) + 1
+        pairs.append((u, v))
+    if not pairs:
+        return 0.0
+    left_index = {u: i for i, u in enumerate(left_sum)}
+    right_index = {v: len(left_index) + i for i, v in enumerate(right_sum)}
+    source = len(left_index) + len(right_index)
+    sink = source + 1
+    dinic = Dinic(source + 2)
+    for u, i in left_index.items():
+        dinic.add_edge(source, i, left_sum[u] / left_count[u])
+    for v, i in right_index.items():
+        dinic.add_edge(i, sink, right_sum[v] / right_count[v])
+    for u, v in pairs:
+        dinic.add_edge(left_index[u], right_index[v], INF)
+    return dinic.max_flow(source, sink)
 
 
 # ----------------------------------------------------------------------

@@ -35,9 +35,9 @@ implementations still trustworthy?":
     Every CSR kernel layer vs. its dict-of-sets twin, all bitwise, in
     sub-streams: *csr* (the frozen :class:`~repro.graph.csr.CSRGraph`:
     freeze/thaw round-trips, vectorized BFS distances, ball
-    memberships, degree vectors, shortest-path counts), *flow* (batched
-    Edmonds–Karp max-flow/min-cut vs. Dinic, incl. the big-int overflow
-    fallback, plus ``bisection_cut_csr``/``resilience_csr`` vs. the
+    memberships, degree vectors, shortest-path counts), *flow*
+    (Edmonds–Karp max-flow/min-cut vs. Dinic, incl. capacities beyond
+    int64, plus ``bisection_cut_csr``/``resilience_csr`` vs. the
     multilevel partitioner under a shared RNG stream), *tree*
     (``distortion_csr`` vs. ``distortion_of``), *biconn*
     (``count_biconnected_csr`` vs. the Tarjan dict walk), *cover*
@@ -47,9 +47,12 @@ implementations still trustworthy?":
     :class:`~repro.graph.kernels.FusedBatch` sliced back per ball vs. a
     ``sub_csr`` loop; ``distortion_csr_batch``/``resilience_csr_batch``
     vs. their scalar twins under one shared RNG stream — same draws,
-    same order, same final RNG state).  Plus two whole-system legs: the
-    production :class:`~repro.engine.MetricEngine` vs. the dict-of-sets
-    :class:`~repro.testing.OracleEngine` across all seven series, and a
+    same order, same final RNG state), and *links* (Section 5 traversal
+    sets and link values from path-count rows vs. the per-pair DAG
+    walk, entry order and weight bits included).  Plus two whole-system
+    legs: the production :class:`~repro.engine.MetricEngine` vs. the
+    dict-of-sets :class:`~repro.testing.OracleEngine` across all seven
+    series, and a
     shared-memory publish/attach/release round-trip that must be
     bitwise lossless and leave ``/dev/shm`` clean.
 ``faults``
@@ -811,7 +814,7 @@ def _kernels_metric_cores(rng: random.Random, report: FamilyReport) -> None:
     def fail(msg: str) -> None:
         report.failures.append(CheckFailure(report.family, report.checks, msg))
 
-    # --- flow: array Edmonds–Karp vs. Dinic, cut certified ------------
+    # --- flow: Edmonds–Karp vs. Dinic, cut certified ------------------
     report.checks += 1
     n = rng.randint(3, 7)
     arcs = []
@@ -834,11 +837,10 @@ def _kernels_metric_cores(rng: random.Random, report: FamilyReport) -> None:
             f"flow is {flow} — the cut does not certify the flow"
         )
 
-    # --- flow: int64 overflow falls back to the big-int twin ----------
+    # --- flow: capacities beyond int64 stay exact --------------------
     # Scaling every capacity by 2**61 scales the max flow linearly and
     # preserves the (unique, inclusion-minimal) source-side min cut,
-    # while pushing the totals past the int64-safe bound so
-    # ``max_flow_min_cut`` must take the arbitrary-precision path.
+    # while pushing the totals past int64.
     report.checks += 1
     scale = 1 << 61
     big_flow, big_reach = flow_mod.max_flow_min_cut(
@@ -846,11 +848,11 @@ def _kernels_metric_cores(rng: random.Random, report: FamilyReport) -> None:
     )
     if big_flow != flow * scale:
         fail(
-            f"big-int fallback flow {big_flow} != scaled array flow "
+            f"capacity-scaled flow {big_flow} != scaled flow "
             f"{flow * scale}"
         )
     if big_reach != reachable:
-        fail("big-int fallback returned a different min-cut side")
+        fail("capacity-scaled flow returned a different min-cut side")
 
     # --- flow: balanced bisection + resilience vs. the dict twins -----
     report.checks += 1
@@ -1049,7 +1051,8 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
     leg: the production :class:`~repro.engine.MetricEngine` (CSR BFS,
     fused batch kernels) vs. the dict-of-sets
     :class:`~repro.testing.OracleEngine` across all seven series, with
-    series and ``last_run`` compared by ``repr`` (no epsilon).
+    series and ``last_run`` compared by ``repr`` (no epsilon), then the
+    *links* sub-stream.
     """
     from repro.engine import MetricEngine, MetricRequest
 
@@ -1072,6 +1075,55 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
             fail(f"engine series {name!r} != OracleEngine series")
     if repr(engine.last_run) != repr(oracle.last_run):
         fail("engine last_run != OracleEngine last_run")
+
+    _kernels_link_values(rng, report)
+
+
+def _kernels_link_values(rng: random.Random, report: FamilyReport) -> None:
+    """Sub-stream *links*: Section 5 traversal sets and link values
+    built from path-count rows vs. the per-pair DAG walk.
+
+    A possibly disconnected graph, an optional source list in random
+    order with repeats, and an optional demand table with zero-demand
+    pairs.  Entries (order included) and every link value must match
+    :func:`~repro.testing.oracles.oracle_link_traversal_sets` and
+    :func:`~repro.testing.oracles.oracle_link_value` to the bit.
+    """
+    from repro.hierarchy import link_traversal_sets, link_values
+
+    def fail(msg: str) -> None:
+        report.failures.append(CheckFailure(report.family, report.checks, msg))
+
+    def hexed(entries) -> list:
+        return [(u, v, float.hex(w)) for u, v, w in entries]
+
+    report.checks += 1
+    g = random_graph(rng)
+    nodes = g.nodes()
+    sources = None
+    if rng.random() < 0.5:
+        sources = rng.choices(nodes, k=rng.randint(1, len(nodes)))
+    pair_weight = None
+    if rng.random() < 0.5:
+        table = {
+            (u, v): rng.choice((0.0, 0.3, 1.0, 2.5)) for u in nodes for v in nodes
+        }
+        pair_weight = lambda u, v: table[u, v]  # noqa: E731
+    got = link_traversal_sets(g, sources=sources, pair_weight=pair_weight)
+    want = oracles.oracle_link_traversal_sets(g, sources, pair_weight)
+    if list(got) != list(want):
+        fail("link_traversal_sets link keys differ from the DAG walk")
+    for link, entries in want.items():
+        if link in got and hexed(got[link]) != hexed(entries):
+            fail(f"link_traversal_sets entries of {link} differ from the DAG walk")
+    values = link_values(g, sources=sources, pair_weight=pair_weight)
+    for link, entries in want.items():
+        want_value = oracles.oracle_link_value(entries)
+        if float.hex(values.get(link, float("nan"))) != float.hex(want_value):
+            fail(
+                f"link value of {link} {values.get(link)!r} != "
+                f"oracle {want_value!r}"
+            )
 
 
 def _check_service(rng: random.Random, report: FamilyReport) -> None:

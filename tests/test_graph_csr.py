@@ -236,6 +236,24 @@ def test_path_counts_match_dict_dag(g, salt):
             assert int(sigma[i]) == 0
 
 
+def test_path_count_overflow_is_detected_when_the_sum_wraps_positive():
+    # 62 diamonds give 2**62 paths to node 186; five parallel two-hop
+    # routes then give 5 * 2**62, which wraps an int64 sum back to the
+    # positive 2**62.
+    g = Graph()
+    for k in range(62):
+        for mid in (3 * k + 1, 3 * k + 2):
+            g.add_edge(3 * k, mid)
+            g.add_edge(mid, 3 * k + 3)
+    for j in range(5):
+        g.add_edge(186, 1000 + j)
+        g.add_edge(1000 + j, 2000)
+    csr = g.freeze()
+    with pytest.raises(kernels.PathCountOverflow):
+        kernels.bfs_with_path_counts(csr, csr.index_of(0))
+    assert shortest_path_dag(csr, 0).sigma[2000] == 5 * 2**62
+
+
 def test_bfs_levels_source_out_of_range():
     csr = Graph([(0, 1)]).freeze()
     with pytest.raises(IndexError):

@@ -13,8 +13,8 @@ suite enforces that contract three ways:
   subset-enumeration min-cut oracle, with the residual-reachable side
   required to *certify* the flow value;
 * structural properties: batching balls in arbitrary groups never
-  changes a single byte of any per-ball result, and the int64 overflow
-  fallback at the ``2**62`` capacity boundary is exact.
+  changes a single byte of any per-ball result, and flow capacities
+  beyond int64 stay exact.
 """
 
 import random
@@ -29,10 +29,6 @@ from repro.graph.core import Graph
 from repro.graph.cover import vertex_cover_size
 from repro.graph.flow import Dinic
 from repro.graph.kernels_flow import (
-    _INT64_SAFE,
-    FlowCapacityOverflow,
-    _max_flow_array,
-    _max_flow_bigint,
     bisection_cut_csr,
     max_flow_min_cut,
     resilience_csr,
@@ -93,18 +89,10 @@ def test_max_flow_matches_dinic_and_oracle(instance):
 
 
 @given(flow_instances())
-def test_array_and_bigint_solvers_agree(instance):
-    n, arcs = instance
-    assert _max_flow_array(n, arcs, 0, n - 1) == _max_flow_bigint(
-        n, arcs, 0, n - 1
-    )
-
-
-@given(flow_instances())
 def test_min_cut_side_is_solver_independent(instance):
-    """Scaling capacities by 2**61 forces the big-int path; linearity of
-    max flow and uniqueness of the inclusion-minimal source-side cut
-    mean both value and side must track exactly."""
+    """Scaling capacities by 2**61 pushes the totals past int64;
+    linearity of max flow and uniqueness of the inclusion-minimal
+    source-side cut mean both value and side must track exactly."""
     n, arcs = instance
     flow, reachable = max_flow_min_cut(n, arcs, 0, n - 1)
     scale = 1 << 61
@@ -116,33 +104,25 @@ def test_min_cut_side_is_solver_independent(instance):
 
 
 # ----------------------------------------------------------------------
-# Overflow boundary: the int64-safe line at 2**62
+# Capacities beyond int64
 # ----------------------------------------------------------------------
 
-def test_capacity_below_boundary_stays_on_array_path():
-    cap = _INT64_SAFE - 1
-    assert _max_flow_array(2, [(0, 1, cap)], 0, 1) == (cap, [True, False])
+def test_capacities_beyond_int64_stay_exact():
+    big = 1 << 62
+    # A single arc, and two parallel arcs whose total passes 2**63.
+    assert max_flow_min_cut(2, [(0, 1, big)], 0, 1) == (big, [True, False])
+    arcs = [(0, 1, 3 * big), (0, 1, 3 * big - 1)]
+    assert max_flow_min_cut(2, arcs, 0, 1) == (6 * big - 1, [True, False])
+    # A bottleneck path: the cut certifies the exact flow.
+    path = [(0, 1, 5 * big + 7), (1, 2, 5 * big + 3), (2, 3, 9 * big)]
+    assert max_flow_min_cut(4, path, 0, 3) == (
+        5 * big + 3, [True, True, False, False]
+    )
 
 
-def test_capacity_at_boundary_raises_then_falls_back():
-    cap = _INT64_SAFE  # 2**62: first unsafe single-arc capacity
-    with pytest.raises(FlowCapacityOverflow):
-        _max_flow_array(2, [(0, 1, cap)], 0, 1)
-    assert max_flow_min_cut(2, [(0, 1, cap)], 0, 1) == (cap, [True, False])
-
-
-def test_total_capacity_overflow_raises_then_falls_back():
-    # Each arc is individually safe but the total crosses 2**62.
-    cap = _INT64_SAFE - 1
-    arcs = [(0, 1, cap), (0, 1, cap)]
-    with pytest.raises(FlowCapacityOverflow):
-        _max_flow_array(2, arcs, 0, 1)
-    assert max_flow_min_cut(2, arcs, 0, 1) == (2 * cap, [True, False])
-
-
-def test_negative_capacity_is_rejected_by_the_array_path():
-    with pytest.raises(FlowCapacityOverflow):
-        _max_flow_array(2, [(0, 1, -1)], 0, 1)
+def test_negative_capacity_is_rejected():
+    with pytest.raises(ValueError):
+        max_flow_min_cut(2, [(0, 1, -1)], 0, 1)
 
 
 # ----------------------------------------------------------------------

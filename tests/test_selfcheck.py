@@ -213,23 +213,47 @@ def test_selfcheck_catches_kernel_cut_off_by_one(monkeypatch):
 
 
 def test_selfcheck_catches_kernel_bigint_fallback_off_by_one(monkeypatch):
-    """Flow sub-stream: corrupting only the big-integer fallback is
-    caught by the capacity-scaling check, proving that leg really runs."""
+    """Flow sub-stream: a planted +1 in the big-integer Edmonds–Karp
+    solver, the only one, is caught by the capacity-scaling leg."""
     from repro.graph import kernels_flow
 
-    real = kernels_flow._max_flow_bigint
+    real = kernels_flow.max_flow_min_cut
 
     def off_by_one(num_nodes, arcs, source, sink):
         flow, reachable = real(num_nodes, arcs, source, sink)
         return flow + 1, reachable
 
-    monkeypatch.setattr(kernels_flow, "_max_flow_bigint", off_by_one)
+    monkeypatch.setattr(kernels_flow, "max_flow_min_cut", off_by_one)
     report = run_selfcheck(
         rounds=5, seed=0, families=["kernels"], out=lambda _: None
     )
     assert not report.ok
     messages = " ".join(f.message for f in report.families[0].failures)
-    assert "big-int" in messages
+    assert "capacity-scaled" in messages
+
+
+def test_selfcheck_catches_link_weight_off_by_one(monkeypatch):
+    """Links sub-stream: a planted +1 on the array traversal-set
+    weights desyncs them, and the link values, from the DAG walk."""
+    from repro.hierarchy import traversal_sets
+
+    real = traversal_sets._source_entries
+
+    def off_by_one(*args, **kwargs):
+        found = real(*args, **kwargs)
+        if found is None:
+            return None
+        pair, arcs, weight = found
+        return pair, arcs, weight + 1
+
+    monkeypatch.setattr(traversal_sets, "_source_entries", off_by_one)
+    report = run_selfcheck(
+        rounds=5, seed=0, families=["kernels"], out=lambda _: None
+    )
+    assert not report.ok
+    messages = " ".join(f.message for f in report.families[0].failures)
+    assert "link_traversal_sets entries" in messages
+    assert "link value" in messages
 
 
 def test_selfcheck_catches_kernel_tree_distance_off_by_one(monkeypatch):

@@ -1,14 +1,17 @@
 #!/usr/bin/env python
-"""CI determinism gate: the same CLI invocation must produce the same
-report, byte for byte.
+"""CI determinism gate: the same computation must produce the same
+output, byte for byte.
 
 Generates two small topologies, runs ``repro compare`` on them twice
 (cache disabled, fresh process each time so no in-process state can
 leak), and diffs the two reports.  Each run also appends the output of
 ``repro metric clustering`` and ``repro metric path-length`` on the
-PLRG, so the two dict-evaluator series are gated too.  Any drift — RNG
-seeded off the clock, dict-ordering leaks, float nondeterminism — fails
-the build.
+PLRG, so the two dict-evaluator series are gated too.  The CLI prints
+three significant digits, so each run also prints, at full precision
+(``repr``), all seven series of one ``MetricEngine`` pass and the
+Section 5 link values of a small PLRG and of a synthetic AS graph with
+and without policy routing.  Any drift — RNG seeded off the clock,
+dict-ordering leaks, float nondeterminism — fails the build.
 
 Usage: python tools/check_determinism.py [--workers N]
 """
@@ -25,16 +28,48 @@ import tempfile
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(args: list[str], cwd: str) -> str:
-    """Run ``python -m repro ARGS``; returns its stdout."""
+# Printed by a fresh interpreter per run: ``python -c VALUES_SCRIPT
+# WORKERS``.
+VALUES_SCRIPT = """
+import sys
+
+from repro.engine import METRICS, MetricEngine, MetricRequest
+from repro.generators.plrg import plrg
+from repro.hierarchy import link_values
+from repro.internet import synthetic_as_graph
+from repro.internet.asgraph import ASGraphParams
+
+engine = MetricEngine(workers=int(sys.argv[1]), use_cache=False)
+requests = [
+    MetricRequest(name, num_centers=4, max_ball_size=200, seed=1)
+    for name in METRICS
+]
+series = engine.compute(plrg(300, 2.246, seed=5), requests)
+for name in METRICS:
+    print(name, repr(series[name]))
+print("plrg", repr(sorted(link_values(plrg(150, 2.246, seed=5), seed=1).items())))
+as_graph = synthetic_as_graph(ASGraphParams(n=150), seed=4)
+for rels in (None, as_graph.relationships):
+    values = link_values(as_graph.graph, rels=rels, seed=1)
+    print("as", rels is not None, repr(sorted(values.items())))
+"""
+
+
+def run_python(args: list[str], cwd: str) -> str:
+    """Run ``python ARGS`` with ``src/`` on ``PYTHONPATH``; returns stdout."""
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + os.pathsep + existing if existing else src
     return subprocess.run(
-        [sys.executable, "-m", "repro", *args],
+        [sys.executable, *args],
         cwd=cwd, env=env, check=True, stdout=subprocess.PIPE, text=True,
     ).stdout
+
+
+def run_cli(args: list[str], cwd: str) -> str:
+    """Run ``python -m repro ARGS``; returns its stdout."""
+    return run_python(["-m", "repro", *args], cwd)
 
 
 def main() -> int:
@@ -61,6 +96,7 @@ def main() -> int:
                 report = fh.read()
             for metric in ("clustering", "path-length"):
                 report += run_cli(["metric", plrg, metric, *ball_flags], tmp)
+            report += run_python(["-c", VALUES_SCRIPT, str(opts.workers)], tmp)
             reports.append(report)
 
     if reports[0] != reports[1]:
