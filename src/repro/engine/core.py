@@ -45,17 +45,18 @@ therefore every downstream float — is a pure function of graph
 content, independent of adjacency-set insertion history.  Only policy
 plans thaw the whole graph (``csr.thaw()``), to route over it.
 
-Evaluation follows one rule.  For a ball that is not a policy ball, a
-metric with a ``batch_evaluator`` runs it once per center over the
-whole radius schedule, fused into one
-:class:`~repro.graph.kernels.FusedBatch`.  Every other case — clustering,
-path length, and every policy ball of every metric — runs the metric's
-dict ``evaluator`` on the canonical thawed ball: outside policy balls,
-the ball's own sub-CSR thawed (``FusedBatch.sub_csr(i).thaw()``, the
-same nodes and adjacency sets as ``csr.thaw().subgraph(members)``);
-for policy balls, the ball built from the policy DAG.  The dict-only engine
-that the batch kernels are tested bitwise-equal against is
-:class:`repro.testing.OracleEngine`; it replaces the per-center function
+Evaluation follows one rule.  Each center's radius schedule is one
+:class:`~repro.graph.kernels.FusedBatch`: plain balls are sliced from
+the frozen graph (``BallBatch``), policy balls are built from the
+policy DAG and frozen in their own node order
+(``FusedBatch.from_csrs``).  A metric with a ``batch_evaluator`` runs it
+once per center over that batch; a metric without one (clustering, path
+length) runs its dict ``evaluator`` on each ball's sub-CSR, thawed
+(``FusedBatch.sub_csr(i).thaw()``, for a plain ball the same nodes and
+adjacency sets as ``csr.thaw().subgraph(members)``).  The dict-only
+engine that the batch kernels are tested bitwise-equal against is
+:class:`repro.testing.OracleEngine`, with the dict twins in its
+evaluator table; it replaces the per-center function
 (``MetricEngine._center_task``) and nothing else.
 """
 
@@ -268,6 +269,12 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
                     break
                 schedule.append((radius, size))
 
+            # Every ball, plain or policy, is one ball of the group's
+            # fused batch.  Plain balls are sliced from the frozen graph
+            # in ascending index order; a policy ball is built from the
+            # DAG and frozen in its own node order, which the kernels
+            # read just as the dict twins do (they depend only on node
+            # order and the edge set).
             fused = None
             if dag is None and schedule:
                 fused = kernels.FusedBatch(
@@ -279,23 +286,28 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
                         ],
                     )
                 )
-            # The one evaluator rule.  Outside policy balls, a metric
-            # with a batch evaluator runs once over the fused schedule,
-            # before the per-radius loop (bitwise equal to the dict
-            # evaluator: each member draws from its *own* rng stream,
-            # so consuming it across all balls up front is the draw
-            # sequence the per-ball loop makes).  Everything else runs
-            # the dict evaluator on a lazily built ball; outside policy
-            # balls that is the ball's own sub-CSR, thawed — the nodes
-            # (ascending index) and adjacency sets the whole graph's
-            # canonical thaw would induce, without thawing the graph.
+            elif schedule:
+                fused = kernels.FusedBatch.from_csrs(
+                    [
+                        csr_from_graph(_policy_ball_from_dag(dag, radius))
+                        for radius, _size in schedule
+                    ]
+                )
+            # The one evaluator rule.  A metric with a batch evaluator
+            # runs once over the fused schedule, before the per-radius
+            # loop (each member draws from its *own* rng stream, so
+            # consuming it across all balls up front is the draw
+            # sequence a per-ball loop makes).  Every other metric runs
+            # its dict evaluator on the ball's own sub-CSR, thawed —
+            # built once per ball, without thawing the whole graph.
             fused_values: Dict[int, List[float]] = {}
-            for member in group.members:
-                spec = METRICS[member.name]
-                if fused is not None and spec.batch_evaluator is not None:
-                    fused_values[member.rid] = spec.batch_evaluator(
-                        fused, rngs[member.rid], member.eval_params
-                    )
+            if fused is not None:
+                for member in group.members:
+                    spec = METRICS[member.name]
+                    if spec.batch_evaluator is not None:
+                        fused_values[member.rid] = spec.batch_evaluator(
+                            fused, rngs[member.rid], member.eval_params
+                        )
             contributions: List[Tuple[int, int, Dict[int, float]]] = []
             for bi, (radius, size) in enumerate(schedule):
                 ball = None
@@ -305,11 +317,7 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
                         values[member.rid] = fused_values[member.rid][bi]
                         continue
                     if ball is None:
-                        ball = (
-                            _policy_ball_from_dag(dag, radius)
-                            if dag is not None
-                            else fused.sub_csr(bi).thaw()
-                        )
+                        ball = fused.sub_csr(bi).thaw()
                     values[member.rid] = METRICS[member.name].evaluator(
                         ball, rngs[member.rid], member.eval_params
                     )

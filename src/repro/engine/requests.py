@@ -17,13 +17,14 @@ Two kinds of metric exist:
     Needs the induced ball subgraph at every radius (resilience,
     distortion, vertex cover, biconnectivity, clustering, path length).
 
-Every ball metric has a dict ``evaluator``.  The four whose inner loops
-have CSR kernels (resilience, distortion, vertex cover, biconnectivity)
-also have a ``batch_evaluator`` that takes one center's whole radius
-schedule as a :class:`~repro.graph.kernels.FusedBatch`; the engine uses
-it for every ball that is not a policy ball.  The dict evaluators are
-what policy balls, clustering and path length run, and what the
-:class:`repro.testing.OracleEngine` runs everywhere.
+Every ball metric has exactly one production evaluator.  The four whose
+inner loops have CSR kernels (resilience, distortion, vertex cover,
+biconnectivity) have a ``batch_evaluator`` that takes one center's whole
+radius schedule as a :class:`~repro.graph.kernels.FusedBatch`, plain or
+policy-induced; clustering and path length have a dict ``evaluator``
+that the engine runs on each ball's thawed sub-CSR.  The dict twins of
+the four kernel metrics are test oracles only: they live in the
+evaluator table of :class:`repro.testing.OracleEngine`.
 
 The registry also records each metric's legacy keyword defaults and its
 random-number protocol, so the engine reproduces the legacy per-metric
@@ -38,9 +39,7 @@ import numbers
 import random
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.graph.components import count_biconnected_components
 from repro.graph.core import Graph
-from repro.graph.cover import vertex_cover_size
 from repro.graph.kernels import (
     FusedBatch,
     batch_biconnected_counts,
@@ -49,9 +48,7 @@ from repro.graph.kernels import (
 from repro.graph.kernels_flow import resilience_csr_batch
 from repro.graph.kernels_trees import distortion_csr_batch
 from repro.metrics.clustering import clustering_coefficient
-from repro.metrics.distortion import distortion_of
 from repro.metrics.pathlength import average_ball_path_length
-from repro.metrics.resilience import resilience_of
 
 # A per-ball evaluator: (ball subgraph, per-center RNG or None, params).
 Evaluator = Callable[[Graph, Optional[random.Random], Mapping[str, Any]], float]
@@ -77,13 +74,15 @@ _INT_PARAMS = (
 class MetricSpec:
     """How the engine computes one named metric.
 
-    ``evaluator`` evaluates one dict-of-sets ball.  ``batch_evaluator``,
-    when present, evaluates one center's *whole* fused radius schedule
-    in a single call and returns one float per ball; it must return the
-    same floats as mapping ``evaluator`` over the canonical thawed balls
-    with the same rng — the ``kernels`` selfcheck family,
-    ``tests/test_kernels_metrics.py`` and ``tests/test_fused_batch.py``
-    enforce it.
+    A ball metric sets exactly one of its two evaluators.
+    ``batch_evaluator`` evaluates one center's *whole* fused radius
+    schedule in a single call and returns one float per ball;
+    ``evaluator`` evaluates one dict-of-sets ball.  A batch evaluator
+    must return the same floats as its dict twin (the oracle evaluator
+    table, :data:`repro.testing.oracles.ORACLE_EVALUATORS`) mapped over
+    the thawed balls with the same rng — the ``kernels`` selfcheck
+    family, ``tests/test_kernels_metrics.py`` and
+    ``tests/test_fused_batch.py`` enforce it.
     """
 
     name: str
@@ -139,22 +138,6 @@ class MetricSpec:
                 f"nodes, got {centers!r}"
             )
         return params
-
-
-def _eval_resilience(ball, rng, params):
-    return resilience_of(ball, rng=rng, trials=params["trials"])
-
-
-def _eval_distortion(ball, rng, params):
-    return distortion_of(ball, rng=rng)
-
-
-def _eval_vertex_cover(ball, rng, params):
-    return float(vertex_cover_size(ball))
-
-
-def _eval_biconnectivity(ball, rng, params):
-    return float(count_biconnected_components(ball))
 
 
 def _eval_clustering(ball, rng, params):
@@ -216,7 +199,6 @@ METRICS: Dict[str, MetricSpec] = {
             kind="ball",
             uses_rng=True,
             defaults=_ball_defaults(10, 1500, trials=3),
-            evaluator=_eval_resilience,
             batch_evaluator=_batch_resilience,
         ),
         MetricSpec(
@@ -224,7 +206,6 @@ METRICS: Dict[str, MetricSpec] = {
             kind="ball",
             uses_rng=True,
             defaults=_ball_defaults(10, 1500),
-            evaluator=_eval_distortion,
             batch_evaluator=_batch_distortion,
         ),
         MetricSpec(
@@ -232,7 +213,6 @@ METRICS: Dict[str, MetricSpec] = {
             kind="ball",
             uses_rng=False,
             defaults=_ball_defaults(10, 2500),
-            evaluator=_eval_vertex_cover,
             batch_evaluator=_batch_vertex_cover,
         ),
         MetricSpec(
@@ -240,7 +220,6 @@ METRICS: Dict[str, MetricSpec] = {
             kind="ball",
             uses_rng=False,
             defaults=_ball_defaults(10, 2500),
-            evaluator=_eval_biconnectivity,
             batch_evaluator=_batch_biconnectivity,
         ),
         MetricSpec(

@@ -304,6 +304,32 @@ def induced_subgraph(csr: CSRGraph, members: np.ndarray) -> CSRGraph:
     )
 
 
+def largest_component_csr(csr: CSRGraph) -> CSRGraph:
+    """The sub-CSR induced by the largest connected component.
+
+    Picks the component :func:`repro.graph.traversal.
+    largest_connected_component` picks: components are found in index
+    order, the largest wins, and a tie goes to the component with the
+    lowest first index.  Members stay in ascending index order, so the
+    result equals the dict twin's subgraph node for node.
+    """
+    n = csr.number_of_nodes()
+    seen = np.zeros(n, dtype=bool)
+    best = np.empty(0, dtype=np.int64)
+    covered = 0
+    start = 0
+    # Stop once no unseen component could be strictly larger.
+    while start < n and best.size < n - covered:
+        members = np.flatnonzero(bfs_levels(csr, start) != UNREACHED)
+        seen[members] = True
+        covered += members.size
+        if members.size > best.size:
+            best = members
+        unseen = np.flatnonzero(~seen[start:])
+        start = start + int(unseen[0]) if unseen.size else n
+    return induced_subgraph(csr, best)
+
+
 class BallBatch:
     """Batched CSR slicing: many balls' induced subgraphs per numpy call.
 
@@ -411,7 +437,7 @@ def _fused_offsets(node_counts, edge_counts):
 
 
 class FusedBatch:
-    """A :class:`BallBatch` concatenated into one disjoint-union CSR.
+    """Per-ball CSRs concatenated into one disjoint-union CSR.
 
     The balls' sub-CSRs are stacked in batch order with each ball's
     local node indices shifted by its node offset, producing a single
@@ -421,15 +447,21 @@ class FusedBatch:
     read back per ball through ``node_offsets`` — the same
     ``indptr``-style segmentation idea one level up.
 
-    The canonical order is the one :meth:`BallBatch.sub_csr` already
-    fixes (ascending original node index within each ball), so every
-    fused kernel is bitwise-comparable to a per-ball loop over
+    Two constructors share the one layout: ``FusedBatch(batch)`` fuses
+    a :class:`BallBatch` (ascending original node index within each
+    ball, the order :meth:`BallBatch.sub_csr` fixes), and
+    :meth:`from_csrs` fuses balls that are already CSRs in their own
+    node order (the engine's Appendix E policy balls).  Either way
+    every fused kernel is bitwise-comparable to a per-ball loop over
     ``sub_csr(i)`` — asserted by the ``kernels`` selfcheck family and
     ``tests/test_fused_batch.py``.
     """
 
     __slots__ = (
-        "batch",
+        "_indptrs",
+        "_indices",
+        "_sub_csr",
+        "_name",
         "node_offsets",
         "edge_offsets",
         "indptr",
@@ -438,9 +470,31 @@ class FusedBatch:
     )
 
     def __init__(self, batch: BallBatch):
-        self.batch = batch
-        node_counts = [m.size for m in batch._members]
-        edge_counts = [ix.size for ix in batch._indices]
+        self._fuse(batch._indptrs, batch._indices, batch.sub_csr, batch.csr.name)
+
+    @classmethod
+    def from_csrs(cls, balls: Sequence[CSRGraph]) -> "FusedBatch":
+        """Fuse already-built per-ball CSRs, keeping each one's node order.
+
+        ``from_csrs(balls).sub_csr(i)`` is ``balls[i]`` itself.
+        """
+        balls = list(balls)
+        fused = cls.__new__(cls)
+        fused._fuse(
+            [ball.indptr for ball in balls],
+            [ball.indices for ball in balls],
+            balls.__getitem__,
+            balls[0].name if balls else "",
+        )
+        return fused
+
+    def _fuse(self, indptrs, indices, sub_csr, name: str) -> None:
+        self._indptrs = indptrs
+        self._indices = indices
+        self._sub_csr = sub_csr
+        self._name = name
+        node_counts = [len(ip) - 1 for ip in indptrs]
+        edge_counts = [ix.size for ix in indices]
         self.node_offsets, self.edge_offsets = _fused_offsets(
             node_counts, edge_counts
         )
@@ -448,14 +502,14 @@ class FusedBatch:
         indptr = np.zeros(total_nodes + 1, dtype=np.int64)
         ptr_pieces = [
             ip[1:].astype(np.int64) + off
-            for ip, off in zip(batch._indptrs, self.edge_offsets[:-1].tolist())
+            for ip, off in zip(indptrs, self.edge_offsets[:-1].tolist())
         ]
         if ptr_pieces:
             np.concatenate(ptr_pieces, out=indptr[1:])
         self.indptr = indptr
         idx_pieces = [
             ix.astype(np.int64) + off
-            for ix, off in zip(batch._indices, self.node_offsets[:-1].tolist())
+            for ix, off in zip(indices, self.node_offsets[:-1].tolist())
         ]
         self.indices = (
             np.concatenate(idx_pieces)
@@ -463,11 +517,11 @@ class FusedBatch:
             else np.empty(0, dtype=np.int64)
         )
         self.ball_of_node = np.repeat(
-            np.arange(len(batch), dtype=np.int64), node_counts
+            np.arange(len(indptrs), dtype=np.int64), node_counts
         )
 
     def __len__(self) -> int:
-        return len(self.batch)
+        return len(self._indptrs)
 
     def ball_slice(self, i: int) -> slice:
         """The fused-array node span of ball ``i``."""
@@ -480,9 +534,13 @@ class FusedBatch:
         """Undirected edge count of ball ``i``."""
         return int(self.edge_offsets[i + 1] - self.edge_offsets[i]) // 2
 
+    def ball_arrays(self, i: int):
+        """Ball ``i``'s own int32 ``(indptr, indices)``, local indices."""
+        return self._indptrs[i], self._indices[i]
+
     def sub_csr(self, i: int) -> CSRGraph:
-        """Ball ``i`` as a standalone CSR (delegates to the batch)."""
-        return self.batch.sub_csr(i)
+        """Ball ``i`` as a standalone CSR with its node labels."""
+        return self._sub_csr(i)
 
     def local_csr(self, i: int) -> CSRGraph:
         """Ball ``i``'s arrays wrapped with ``range`` labels.
@@ -492,10 +550,10 @@ class FusedBatch:
         cover/biconnectivity counters).
         """
         return CSRGraph(
-            self.batch._indptrs[i],
-            self.batch._indices[i],
+            self._indptrs[i],
+            self._indices[i],
             range(self.ball_size(i)),
-            name=self.batch.csr.name,
+            name=self._name,
         )
 
 
@@ -602,11 +660,11 @@ def batch_vertex_cover_sizes(fused: FusedBatch) -> List[int]:
     matching = batch_matching_cover_sizes(fused)
     out: List[int] = []
     for b in range(len(fused)):
-        indices = fused.batch._indices[b]
+        indptr, indices = fused.ball_arrays(b)
         if not indices.size:
             out.append(0)
             continue
-        greedy = _greedy_cover_arrays(fused.batch._indptrs[b], indices)
+        greedy = _greedy_cover_arrays(indptr, indices)
         out.append(min(int(matching[b]), greedy))
     return out
 

@@ -24,9 +24,9 @@ algorithm over CSR arrays:
   sequence is a pure function of the entry multiset and both
   implementations walk the same moves.
 
-On disconnected input :func:`resilience_csr` delegates to the dict
-twin, which evaluates the largest component — engine balls are always
-connected, so the delegation only fires for exotic direct callers.
+On disconnected input :func:`resilience_csr` evaluates the largest
+component (:func:`repro.graph.kernels.largest_component_csr`), the
+component the dict twin picks; engine balls are always connected.
 """
 
 from __future__ import annotations
@@ -39,7 +39,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.kernels import UNREACHED, _gather_rows, bfs_levels
+from repro.graph.kernels import (
+    UNREACHED,
+    FusedBatch,
+    _gather_rows,
+    bfs_levels,
+    fused_bfs_levels,
+    largest_component_csr,
+)
 from repro.graph.partition import (
     _COARSEST,
     _EXACT_MAX,
@@ -539,8 +546,8 @@ def resilience_csr(
     """Resilience of a CSR ball, bitwise equal to the dict twin
     :func:`repro.metrics.resilience.resilience_of` on the thawed graph.
 
-    Disconnected input delegates to the twin (largest-component
-    semantics); engine balls are always connected.
+    Disconnected input is evaluated on its largest component, as the
+    twin does; engine balls are always connected.
     """
     rng = rng if rng is not None else random.Random(0)
     n = sub.number_of_nodes()
@@ -548,16 +555,14 @@ def resilience_csr(
         return 0.0
     probe = bfs_levels(sub, 0)
     if bool((probe == UNREACHED).any()):
-        from repro.metrics.resilience import resilience_of  # deferred: layering
-
-        return resilience_of(sub.thaw(), rng=rng, trials=trials)
+        return resilience_csr(largest_component_csr(sub), rng=rng, trials=trials)
     if n < 2:
         return 0.0
     return float(bisection_cut_csr(sub, rng=rng, trials=trials))
 
 
 def resilience_csr_batch(
-    fused: "FusedBatch",
+    fused: FusedBatch,
     rng: Optional[random.Random] = None,
     trials: int = 3,
 ) -> List[float]:
@@ -571,12 +576,10 @@ def resilience_csr_batch(
     ``range``-labelled local CSR views that skip ``sub_csr``'s node-
     label materialisation (the solver never reads labels).  Draws stay
     sequential per ball in schedule order, exactly like the per-ball
-    loop; disconnected balls delegate through :func:`resilience_csr`
-    (which re-probes, drawing nothing first).
+    loop; disconnected balls go through :func:`resilience_csr` (which
+    re-probes, drawing nothing first).
     """
     rng = rng if rng is not None else random.Random(0)
-    from repro.graph.kernels import fused_bfs_levels  # deferred: layering
-
     num_balls = len(fused)
     results: List[float] = [0.0] * num_balls
     if num_balls == 0:

@@ -13,9 +13,9 @@ inner loop scores canonical BFS trees (minimum-index parents) with the
   to the twin (both reduce to ``min(integer totals) / num_edges``; IEEE
   division is monotone in the numerator, so the minima coincide).
 
-On disconnected input the kernel delegates to the dict twin, which
-evaluates the largest component — engine balls are always connected, so
-the delegation only fires for exotic direct callers.
+On disconnected input the kernel evaluates the largest component
+(:func:`repro.graph.kernels.largest_component_csr`), the component the
+dict twin picks; engine balls are always connected.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.graph.kernels import (
     _gather_rows,
     bfs_levels,
     fused_bfs_levels,
+    largest_component_csr,
     multi_source_distances,
 )
 
@@ -144,8 +145,8 @@ def distortion_csr(
 
     Scores the closeness-center, max-degree and ``random_roots``
     random-rooted canonical BFS trees and returns the minimum integer
-    total divided by the edge count.  Disconnected input delegates to
-    the twin (largest-component semantics).
+    total divided by the edge count.  Disconnected input is evaluated
+    on its largest component, as the twin does.
     """
     rng = rng if rng is not None else random.Random(0)
     n = sub.number_of_nodes()
@@ -154,9 +155,9 @@ def distortion_csr(
         return 0.0
     probe = bfs_levels(sub, 0)
     if bool((probe == UNREACHED).any()):
-        from repro.metrics.distortion import distortion_of  # deferred: layering
-
-        return distortion_of(sub.thaw(), rng=rng, random_roots=random_roots)
+        return distortion_csr(
+            largest_component_csr(sub), rng=rng, random_roots=random_roots
+        )
 
     center = closeness_center_index(sub, rng)
     roots = [center]
@@ -326,7 +327,7 @@ def distortion_csr_batch(
     sources, ``rng.randrange`` per random root) depend only on each
     ball's node count, so they are replayed per ball in schedule order
     up front, before any fused array work.  Edgeless balls draw nothing
-    and score 0.0; disconnected balls fall back to the scalar twin *in
+    and score 0.0; disconnected balls fall back to the scalar kernel *in
     sequence* (it consumes the rng exactly as the per-ball loop would).
     Connected balls then share one packed closeness sweep and one
     BFS + parents + LCA pass per root *slot* (center / max-degree /
@@ -357,9 +358,9 @@ def distortion_csr_batch(
         hi = int(fused.node_offsets[b + 1])
         n_b = hi - lo
         if bool((probe[lo:hi] == UNREACHED).any()):
-            # Disconnected: the scalar twin re-probes and delegates to
-            # the dict implementation, consuming the rng here, in the
-            # same schedule position as a per-ball loop would.
+            # Disconnected: the scalar kernel re-probes and scores the
+            # largest component, consuming the rng here, in the same
+            # schedule position as a per-ball loop would.
             results[b] = distortion_csr(
                 fused.sub_csr(b), rng=rng, random_roots=random_roots
             )

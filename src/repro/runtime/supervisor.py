@@ -286,8 +286,10 @@ class Supervisor:
     def _kill_pool(self, pool) -> None:
         """Tear a pool down *now*, hung workers included."""
         processes = []
+        manager = None
         try:
             processes = list(getattr(pool, "_processes", {}).values())
+            manager = getattr(pool, "_executor_manager_thread", None)
         except Exception:  # pragma: no cover - executor internals moved
             pass
         try:
@@ -302,6 +304,16 @@ class Supervisor:
         for process in processes:
             try:
                 process.join(timeout=1.0)
+            except Exception:  # pragma: no cover
+                pass
+        # The executor's manager thread reaps the same workers.  When it
+        # wins the race to ``waitpid``, our join returns before the exit
+        # code is recorded and the dead worker still shows up in
+        # ``multiprocessing.active_children()``; wait for the thread so
+        # every worker is reaped on return.
+        if manager is not None:
+            try:
+                manager.join(timeout=1.0)
             except Exception:  # pragma: no cover
                 pass
 

@@ -27,6 +27,7 @@ from repro.testing.invariants import (
     check_series_invariants,
 )
 from repro.testing.oracles import (
+    ORACLE_EVALUATORS,
     ORACLE_MAX_NODES,
     OracleEngine,
     OracleSizeError,
@@ -53,6 +54,7 @@ from repro.testing.selfcheck import (
 )
 
 __all__ = [
+    "ORACLE_EVALUATORS",
     "ORACLE_MAX_NODES",
     "OracleEngine",
     "OracleSizeError",

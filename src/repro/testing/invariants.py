@@ -206,7 +206,7 @@ def check_engine_equivalence(
     """
     from repro.engine import METRICS, MetricEngine, MetricRequest
     from repro.metrics.balls import ball_growing_series
-    from repro.testing.oracles import OracleEngine
+    from repro.testing.oracles import ORACLE_EVALUATORS, OracleEngine
 
     def requests():
         reqs = []
@@ -283,7 +283,7 @@ def check_engine_equivalence(
         if name == "expansion" or METRICS[name].uses_rng:
             continue
         spec = METRICS[name]
-        evaluator = spec.evaluator
+        evaluator = ORACLE_EVALUATORS[name]
 
         legacy = ball_growing_series(
             graph,

@@ -13,13 +13,14 @@ implementations can be checked differentially (see
 
 Oracles deliberately share no code with the implementations they check.
 Two exceptions: :class:`OracleEngine`, the dict-of-sets twin of the
-metric engine, shares the engine's planning and merge and the metrics'
-dict evaluators, and replaces only the CSR BFS and the fused batch
-kernels; the Section 5 oracles (:func:`oracle_link_traversal_sets`,
-:func:`oracle_link_value`) walk the dict shortest-path DAG per pair and
-run ``Dinic.max_flow`` on a network built arc by arc, replacing only
-the array construction of traversal sets, vertex weights and cover
-networks.
+metric engine, shares the engine's planning and merge, and replaces the
+CSR BFS and the fused batch kernels with dict BFS and the dict
+evaluators of :data:`ORACLE_EVALUATORS` (for the four kernel metrics,
+dict twins no production path runs); the Section 5 oracles
+(:func:`oracle_link_traversal_sets`, :func:`oracle_link_value`) walk
+the dict shortest-path DAG per pair and run ``Dinic.max_flow`` on a
+network built arc by arc, replacing only the array construction of
+traversal sets, vertex weights and cover networks.
 """
 
 from __future__ import annotations
@@ -29,11 +30,15 @@ import random
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.engine import METRICS, MetricEngine
+from repro.graph.components import count_biconnected_components
 from repro.graph.core import Graph
+from repro.graph.cover import vertex_cover_size
 from repro.graph.flow import INF, Dinic
 from repro.graph.traversal import bfs_distances
 # The canonical Appendix E ball constructor, shared with the engine.
 from repro.metrics.balls import _policy_ball_from_dag
+from repro.metrics.distortion import distortion_of
+from repro.metrics.resilience import resilience_of
 from repro.routing.policy import policy_dag
 from repro.routing.shortest import pair_edge_fractions, shortest_path_dag
 
@@ -439,14 +444,44 @@ def oracle_exact_distortion(graph: Graph) -> float:
 # The dict-of-sets engine
 # ----------------------------------------------------------------------
 
+def _eval_resilience(ball, rng, params):
+    return resilience_of(ball, rng=rng, trials=params["trials"])
+
+
+def _eval_distortion(ball, rng, params):
+    return distortion_of(ball, rng=rng)
+
+
+def _eval_vertex_cover(ball, rng, params):
+    return float(vertex_cover_size(ball))
+
+
+def _eval_biconnectivity(ball, rng, params):
+    return float(count_biconnected_components(ball))
+
+
+#: The dict evaluator ``(ball, rng, params) -> float`` of every ball
+#: metric, as :class:`OracleEngine` runs it.  The four kernel metrics'
+#: dict twins live only here; clustering and path length share the
+#: engine's own dict evaluator.
+ORACLE_EVALUATORS = {
+    "resilience": _eval_resilience,
+    "distortion": _eval_distortion,
+    "vertex_cover": _eval_vertex_cover,
+    "biconnectivity": _eval_biconnectivity,
+    "clustering": METRICS["clustering"].evaluator,
+    "path_length": METRICS["path_length"].evaluator,
+}
+
+
 def oracle_compute_center(ctx, plan, ci: int):
     """One center of an engine plan, computed on dict-of-sets graphs only.
 
     The twin of the engine's per-center function, with the same
     ``(counts_at, group_contributions)`` result: dict BFS
     (:func:`~repro.graph.traversal.bfs_distances`) instead of the CSR
-    kernel, and every metric's dict ``evaluator`` on every ball instead
-    of the fused batch kernels.  Balls are induced on the canonical
+    kernel, and every metric's :data:`ORACLE_EVALUATORS` entry on every
+    ball instead of the fused batch kernels.  Balls are induced on the canonical
     thawed graph in ascending node-index order, and each metric draws
     from its own per-center RNG stream, as the engine's determinism
     contract requires.
@@ -494,7 +529,7 @@ def oracle_compute_center(ctx, plan, ci: int):
                     [node for node in canonical if dist.get(node, radius + 1) <= radius]
                 )
             values = {
-                member.rid: METRICS[member.name].evaluator(
+                member.rid: ORACLE_EVALUATORS[member.name](
                     ball, rngs[member.rid], member.eval_params
                 )
                 for member in group.members

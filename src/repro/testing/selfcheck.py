@@ -110,6 +110,7 @@ import importlib
 
 resilience_mod = importlib.import_module("repro.metrics.resilience")
 from repro.metrics.distortion import distortion_of
+from repro.routing.policy import Relationships
 from repro.testing import invariants as invariants_mod
 from repro.testing import oracles
 
@@ -871,7 +872,20 @@ def _kernels_metric_cores(rng: random.Random, report: FamilyReport) -> None:
         )
 
     report.checks += 1
-    gd = random_graph(rng)  # possibly disconnected: exercises delegation
+    gd = random_graph(rng)  # possibly disconnected: largest-component slice
+    if rng.random() < 0.3:
+        # A path as large as the largest component: a tie the lowest
+        # first index must break, as the dict twin breaks it.
+        size = largest_connected_component(gd).number_of_nodes()
+        offset = gd.number_of_nodes()
+        gd.add_edges_from((offset + i, offset + i + 1) for i in range(size - 1))
+    # Shuffled insertion order: components stop being index ranges.
+    order = gd.nodes()
+    rng.shuffle(order)
+    shuffled = Graph(name=gd.name)
+    shuffled.add_nodes_from(order)
+    shuffled.add_edges_from(gd.iter_edges())
+    gd = shuffled
     csr_d = gd.freeze()
     stream = rng.getrandbits(32)
     got_r = flow_mod.resilience_csr(csr_d, rng=random.Random(stream), trials=3)
@@ -1052,7 +1066,8 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
     fused batch kernels) vs. the dict-of-sets
     :class:`~repro.testing.OracleEngine` across all seven series, with
     series and ``last_run`` compared by ``repr`` (no epsilon), then the
-    *links* sub-stream.
+    six ball metrics on policy balls under random relationships, then
+    the *links* sub-stream.
     """
     from repro.engine import MetricEngine, MetricRequest
 
@@ -1075,6 +1090,31 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
             fail(f"engine series {name!r} != OracleEngine series")
     if repr(engine.last_run) != repr(oracle.last_run):
         fail("engine last_run != OracleEngine last_run")
+
+    # Policy balls ride the same fused batch kernels; the oracle runs
+    # the dict twins on the DAG-built balls.  Random annotations, with
+    # siblings, on the same graph.
+    report.checks += 1
+    rels = Relationships()
+    for u, v in g.iter_edges():
+        kind = rng.randrange(4)
+        if kind == 0:
+            rels.set_provider_customer(provider=u, customer=v)
+        elif kind == 1:
+            rels.set_provider_customer(provider=v, customer=u)
+        elif kind == 2:
+            rels.set_peer(u, v)
+        else:
+            rels.set_sibling(u, v)
+    ball_names = [name for name in names if name != "expansion"]
+    requests = [
+        MetricRequest(name, num_centers=3, rels=rels, seed=seed)
+        for name in ball_names
+    ]
+    got, want = engine.compute(g, requests), oracle.compute(g, requests)
+    for name in ball_names:
+        if repr(got[name]) != repr(want[name]):
+            fail(f"engine policy-ball series {name!r} != OracleEngine series")
 
     _kernels_link_values(rng, report)
 

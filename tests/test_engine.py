@@ -22,6 +22,7 @@ from repro.generators.plrg import plrg
 from repro.graph.core import Graph
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import bfs_distances
+from repro.harness.registry import topology
 from repro.internet import synthetic_as_graph
 from repro.internet.asgraph import ASGraphParams
 from repro.metrics import (
@@ -36,6 +37,7 @@ from repro.metrics import (
     vertex_cover_series,
 )
 from repro.testing import OracleEngine
+from repro.testing.oracles import ORACLE_EVALUATORS
 
 SEED = 7
 BALL_PARAMS = dict(num_centers=4, max_ball_size=200, seed=SEED)
@@ -106,25 +108,37 @@ def test_csr_engine_matches_dict_oracle(graph_name, graph):
     assert production.last_run == oracle.last_run
 
 
-def test_policy_balls_match_oracle_for_every_ball_metric():
-    # Policy balls take the dict evaluator for every metric, batchable
-    # or not; the oracle must agree bitwise, RunReport included.
-    as_graph = synthetic_as_graph(ASGraphParams(n=200), seed=4)
+def policy_topology(name):
+    """A measured-graph stand-in with its relationship annotation."""
+    if name == "AS-200":
+        as_graph = synthetic_as_graph(ASGraphParams(n=200), seed=4)
+        return as_graph.graph, as_graph.relationships
+    rl = topology("RL", scale="small")
+    return rl.graph, rl.relationships
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("graph_name", ["AS-200", "RL-small"])
+def test_policy_balls_match_oracle_for_every_ball_metric(graph_name, workers):
+    # Policy balls ride the same fused batch kernels as plain balls; the
+    # dict oracle must agree bitwise, RunReport included.
+    graph, rels = policy_topology(graph_name)
     requests = [
         MetricRequest(
             name,
             num_centers=4,
             max_ball_size=150,
-            rels=as_graph.relationships,
+            rels=rels,
             seed=5,
         )
         for name in sorted(LEGACY_FUNCTIONS)
         if name != "expansion"
     ]
-    production, oracle = engine(), OracleEngine()
-    got = production.compute(as_graph.graph, requests)
-    want = oracle.compute(as_graph.graph, requests)
+    production, oracle = engine(workers=workers), OracleEngine()
+    got = production.compute(graph, requests)
+    want = oracle.compute(graph, requests)
     assert len(got) == 6
+    assert all(got[name] for name in got)
     assert repr(got) == repr(want)
     assert production.last_run == oracle.last_run
 
@@ -486,10 +500,11 @@ def test_cache_key_covers_params_and_seed():
 # ----------------------------------------------------------------------
 
 def _strip_kernels(monkeypatch):
-    """Disable every registered batch_evaluator.
+    """Swap every registered batch_evaluator for its dict twin.
 
     The engine still runs on frozen graphs and CSR distances, but every
-    ball metric falls back to its dict evaluator on thawed balls.
+    kernel metric then takes the engine's dict-evaluator branch, on each
+    ball's thawed sub-CSR, with the oracle table's evaluator.
     """
     from repro.engine import requests as requests_mod
 
@@ -498,15 +513,19 @@ def _strip_kernels(monkeypatch):
             monkeypatch.setitem(
                 requests_mod.METRICS,
                 name,
-                dataclasses.replace(spec, batch_evaluator=None),
+                dataclasses.replace(
+                    spec,
+                    evaluator=ORACLE_EVALUATORS[name],
+                    batch_evaluator=None,
+                ),
             )
 
 
 @pytest.mark.parametrize("graph_name,graph", graphs())
 def test_kernels_on_off_bitwise_identical(graph_name, graph, monkeypatch):
     # All seven series with the fused batch kernels dispatched, vs. the
-    # same engine with every batch_evaluator stripped: bitwise equal,
-    # including the RunReport status blocks.
+    # same engine with every batch_evaluator swapped for its dict twin:
+    # bitwise equal, including the RunReport status blocks.
     requests = [request_for(name) for name in sorted(LEGACY_FUNCTIONS)]
     kernel_engine = engine()
     with_kernels = kernel_engine.compute(graph, requests)
@@ -568,10 +587,16 @@ def test_policy_pass_still_thaws_the_whole_graph(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_metric_registry_evaluators():
+    # Exactly one production evaluator per ball metric: the four kernel
+    # metrics run only their batch evaluator, plain or policy ball; their
+    # dict twins are in the oracle table alone.
     from repro.engine.requests import METRICS
+    from repro.testing.oracles import ORACLE_EVALUATORS
 
     ball_metrics = {n for n, s in METRICS.items() if s.kind == "ball"}
-    assert all(METRICS[n].evaluator is not None for n in ball_metrics)
+    for name in ball_metrics:
+        spec = METRICS[name]
+        assert (spec.evaluator is None) != (spec.batch_evaluator is None), name
     batched = {n for n, s in METRICS.items() if s.batch_evaluator is not None}
     assert batched == {
         "resilience",
@@ -579,6 +604,7 @@ def test_metric_registry_evaluators():
         "vertex_cover",
         "biconnectivity",
     }
+    assert set(ORACLE_EVALUATORS) == ball_metrics
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Edge cases and Hypothesis differentials for the fused batch layer.
 
-``FusedBatch`` concatenates a ``BallBatch``'s per-ball CSR graphs into
-one disjoint-union CSR so the segmented kernels can sweep every ball in
+``FusedBatch`` concatenates a ``BallBatch``'s per-ball CSR graphs (or,
+through ``FusedBatch.from_csrs``, already-built ball CSRs such as the
+engine's policy balls) into one disjoint-union CSR so the segmented kernels can sweep every ball in
 a single pass.  The contract is *bitwise*: slicing any fused result back
 per ball must reproduce the per-ball ``sub_csr`` loop byte for byte —
 same integers, same final floats, same RNG draws in the same order.
@@ -256,6 +257,37 @@ def test_sub_csr_thaw_equals_whole_graph_thaw_subgraph(drawn):
             assert got.neighbors(node) == want.neighbors(node)
         assert got.number_of_edges() == want.number_of_edges()
         assert got.name == want.name
+
+
+@st.composite
+def prebuilt_balls(draw):
+    """Up to four graphs, each frozen in its own shuffled node order —
+    balls the way the engine builds policy balls, not sliced in
+    ascending index from one parent graph."""
+    balls = []
+    for _ in range(draw(st.integers(0, 4))):
+        base = draw(graphs(min_nodes=1, max_nodes=12))
+        order = draw(st.permutations(base.nodes()))
+        g = Graph(name="prebuilt")
+        g.add_nodes_from(order)
+        g.add_edges_from(base.iter_edges())
+        balls.append(g.freeze())
+    return balls, draw(st.integers(0, 2**32 - 1))
+
+
+@given(prebuilt_balls())
+@settings(max_examples=60, deadline=None)
+def test_from_csrs_equals_per_ball_loop_byte_for_byte(drawn):
+    balls, seed = drawn
+    fused = FusedBatch.from_csrs(balls)
+    assert len(fused) == len(balls)
+    for i, ball in enumerate(balls):
+        assert fused.sub_csr(i) is ball
+        indptr, indices = fused.ball_arrays(i)
+        assert np.array_equal(indptr, ball.indptr)
+        assert np.array_equal(indices, ball.indices)
+    # The fused batch serves as its own per-ball source of sub-CSRs.
+    assert_fused_matches_per_ball(fused, fused, seed)
 
 
 @given(connected_graphs(min_nodes=3, max_nodes=10), st.integers(0, 2**16 - 1))

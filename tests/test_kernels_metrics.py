@@ -35,6 +35,7 @@ from repro.graph.kernels_flow import (
 )
 from repro.graph.kernels_trees import distortion_csr
 from repro.graph.partition import bisection_cut_size
+from repro.graph.traversal import largest_connected_component
 from repro.metrics.distortion import distortion_of
 from repro.metrics.resilience import resilience_of
 from repro.testing import oracles
@@ -148,6 +149,61 @@ def test_distortion_kernel_bitwise(g, seed):
     got = distortion_csr(g.freeze(), rng=random.Random(seed))
     want = distortion_of(g, rng=random.Random(seed))
     assert got == want
+
+
+def two_part_graph(path_nodes, clique_nodes):
+    """A path on one node set and a clique on another, nodes 0..n-1
+    inserted in index order."""
+    g = Graph()
+    g.add_nodes_from(range(len(path_nodes) + len(clique_nodes)))
+    g.add_edges_from(zip(path_nodes, path_nodes[1:]))
+    g.add_edges_from(
+        (u, v) for i, u in enumerate(clique_nodes) for v in clique_nodes[i + 1 :]
+    )
+    return g
+
+
+@pytest.mark.parametrize(
+    "path_nodes, clique_nodes, winner",
+    [
+        # Two tied largest components on interleaved indices: the one
+        # holding the lowest index wins, as in connected_components.
+        ([0, 2, 4, 6, 8], [1, 3, 5, 7, 9], "path"),
+        ([1, 3, 5, 7, 9], [0, 2, 4, 6, 8], "clique"),
+        # A strictly larger component whose indices are not contiguous
+        # and do not start at 0.
+        ([0, 4], [1, 3, 5, 8, 2, 6, 7], "clique"),
+        ([2, 6, 7, 1, 3, 5, 8], [0, 4], "path"),
+    ],
+)
+def test_largest_component_slice_matches_dict_twin(path_nodes, clique_nodes, winner):
+    g = two_part_graph(path_nodes, clique_nodes)
+    want_nodes = sorted(path_nodes if winner == "path" else clique_nodes)
+    component = kernels.largest_component_csr(g.freeze())
+    assert component.nodes() == want_nodes
+    assert component.nodes() == largest_connected_component(g).nodes()
+    assert component.edges() == largest_connected_component(g).freeze().edges()
+    for seed in range(4):
+        got_r = resilience_csr(g.freeze(), rng=random.Random(seed), trials=3)
+        want_r = resilience_of(g, rng=random.Random(seed), trials=3)
+        assert repr(got_r) == repr(want_r)
+        got_d = distortion_csr(g.freeze(), rng=random.Random(seed))
+        want_d = distortion_of(g, rng=random.Random(seed))
+        assert repr(got_d) == repr(want_d)
+    # The slice picked the right component: a path cuts at 1 and is its
+    # own spanning tree, a clique of k >= 3 nodes does neither.
+    if winner == "path":
+        assert (got_r, got_d) == (1.0, 1.0)
+    else:
+        assert got_r > 1.0 and got_d > 1.0
+
+
+def test_largest_component_of_connected_graph_is_the_graph():
+    csr = two_part_graph([3, 0, 1, 2], []).freeze()
+    component = kernels.largest_component_csr(csr)
+    assert component.nodes() == csr.nodes()
+    assert np.array_equal(component.indptr, csr.indptr)
+    assert np.array_equal(component.indices, csr.indices)
 
 
 @given(trees(), st.integers(min_value=0, max_value=2**32 - 1))

@@ -16,10 +16,13 @@ ball contents verbatim.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph.core import Graph
-from repro.metrics.balls import policy_ball_subgraph
-from repro.routing.policy import Relationships, policy_distances
+from repro.graph.traversal import is_connected
+from repro.metrics.balls import _policy_ball_from_dag, policy_ball_subgraph
+from repro.routing.policy import Relationships, policy_dag, policy_distances
+from repro.testing.strategies import connected_graphs
 
 
 @pytest.fixture()
@@ -139,3 +142,39 @@ def test_policy_ball_on_unannotated_graph_equals_plain_ball():
     # All-sibling: every shortest path is policy-valid, so only links on
     # shortest paths appear; they form a subset of the plain ball.
     assert edge_set(policy) <= edge_set(plain)
+
+
+@st.composite
+def annotated_graphs(draw):
+    """A connected graph, every edge annotated at random: either
+    provider direction, peer, or sibling."""
+    g = draw(connected_graphs(min_nodes=2, max_nodes=14))
+    rels = Relationships()
+    for u, v in g.iter_edges():
+        kind = draw(st.sampled_from(("up", "down", "peer", "sibling")))
+        if kind == "up":
+            rels.set_provider_customer(provider=v, customer=u)
+        elif kind == "down":
+            rels.set_provider_customer(provider=u, customer=v)
+        elif kind == "peer":
+            rels.set_peer(u, v)
+        else:
+            rels.set_sibling(u, v)
+    center = draw(st.sampled_from(g.nodes()))
+    return g, rels, center
+
+
+@settings(max_examples=150, deadline=None)
+@given(annotated_graphs())
+def test_every_policy_ball_is_connected_and_holds_its_center(case):
+    # The engine's policy balls ride the connected-input fast path of the
+    # resilience and distortion kernels; every ball the DAG yields must
+    # be connected (each member keeps a whole shortest policy path back
+    # to the center) and contain the center.
+    g, rels, center = case
+    dag = policy_dag(g, rels, center)
+    reach = max(policy_distances(g, rels, center).values())
+    for radius in range(0, reach + 1):
+        ball = _policy_ball_from_dag(dag, radius)
+        assert center in ball
+        assert is_connected(ball), (radius, ball.edges())

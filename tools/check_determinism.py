@@ -8,9 +8,10 @@ leak), and diffs the two reports.  Each run also appends the output of
 ``repro metric clustering`` and ``repro metric path-length`` on the
 PLRG, so the two dict-evaluator series are gated too.  The CLI prints
 three significant digits, so each run also prints, at full precision
-(``repr``), all seven series of one ``MetricEngine`` pass and the
-Section 5 link values of a small PLRG and of a synthetic AS graph with
-and without policy routing.  Any drift — RNG seeded off the clock,
+(``repr``), all seven series of one ``MetricEngine`` pass, the six
+ball-metric series of a synthetic AS graph under policy routing
+(Appendix E's policy-induced balls), and the Section 5 link values of a
+small PLRG and of that AS graph with and without policy routing.  Any drift — RNG seeded off the clock,
 dict-ordering leaks, float nondeterminism — fails the build.
 
 Usage: python tools/check_determinism.py [--workers N]
@@ -49,6 +50,16 @@ for name in METRICS:
     print(name, repr(series[name]))
 print("plrg", repr(sorted(link_values(plrg(150, 2.246, seed=5), seed=1).items())))
 as_graph = synthetic_as_graph(ASGraphParams(n=150), seed=4)
+ball_names = [name for name in METRICS if METRICS[name].kind == "ball"]
+policy = engine.compute(as_graph.graph, [
+    MetricRequest(
+        name, num_centers=4, max_ball_size=120,
+        rels=as_graph.relationships, seed=1,
+    )
+    for name in ball_names
+])
+for name in ball_names:
+    print("policy", name, repr(policy[name]))
 for rels in (None, as_graph.relationships):
     values = link_values(as_graph.graph, rels=rels, seed=1)
     print("as", rels is not None, repr(sorted(values.items())))
