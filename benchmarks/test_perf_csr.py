@@ -13,14 +13,16 @@ PLRGs of three sizes:
   ``repro.testing.OracleEngine``, serial, single process, identical
   bits.
 * **Metric cores** — the four CSR-native metric kernels
-  (``resilience_csr``, ``distortion_csr``, ``vertex_cover_size_csr``,
-  ``count_biconnected_csr``) vs. their dict twins on the same large
-  ball (grown to about half the graph around the max-degree hub),
-  bitwise-verified before timing.
+  (``resilience_csr_batch``, ``distortion_csr_batch``,
+  ``batch_vertex_cover_sizes``, ``batch_biconnected_counts``), each
+  run on a one-ball ``FusedBatch``, vs. their dict twins on the same
+  large ball (grown to about half the graph around the max-degree
+  hub), bitwise-verified before timing.
 * **Fused batch** — the ball-dominated inner loop: a ``FusedBatch``
   union sweep over many radius balls vs. the per-ball ``sub_csr``
   loop, for the segmented BFS/level-count kernels and for
-  ``distortion_csr_batch``, bitwise-verified before timing.
+  ``distortion_csr_batch`` (the loop runs it on one-ball batches),
+  bitwise-verified before timing.
 * **Transport** — the parallel engine end to end, shared-memory
   segment publish (``transport="shm"``) vs. pickled-array workers
   (``transport="copy"``), wall-clock (the pool is the workload).
@@ -55,8 +57,8 @@ from repro.generators.plrg import plrg
 from repro.graph import kernels
 from repro.graph.components import count_biconnected_components
 from repro.graph.cover import vertex_cover_size
-from repro.graph.kernels_flow import resilience_csr
-from repro.graph.kernels_trees import distortion_csr, distortion_csr_batch
+from repro.graph.kernels_flow import resilience_csr_batch
+from repro.graph.kernels_trees import distortion_csr_batch
 from repro.runtime import shm
 from repro.graph.traversal import bfs_distances
 from repro.metrics.distortion import distortion_of
@@ -198,6 +200,11 @@ def _hub_ball(graph, csr):
     return ball, sub_csr
 
 
+def _one_ball(sub):
+    """``sub`` as a one-ball fused batch, the batch kernels' input."""
+    return kernels.FusedBatch.from_csrs([sub])
+
+
 #: metric name -> (dict twin runner, CSR kernel runner).  Each call
 #: constructs a fresh seeded RNG so every timed round replays the exact
 #: same draw sequence on both sides.
@@ -206,21 +213,23 @@ METRIC_CORES = {
         lambda ball: resilience_of(
             ball, rng=random.Random(SEED), trials=METRIC_TRIALS
         ),
-        lambda sub: resilience_csr(
-            sub, rng=random.Random(SEED), trials=METRIC_TRIALS
-        ),
+        lambda sub: resilience_csr_batch(
+            _one_ball(sub), rng=random.Random(SEED), trials=METRIC_TRIALS
+        )[0],
     ),
     "distortion": (
         lambda ball: distortion_of(ball, rng=random.Random(SEED)),
-        lambda sub: distortion_csr(sub, rng=random.Random(SEED)),
+        lambda sub: distortion_csr_batch(
+            _one_ball(sub), rng=random.Random(SEED)
+        )[0],
     ),
     "vertex_cover": (
         lambda ball: float(vertex_cover_size(ball)),
-        lambda sub: float(kernels.vertex_cover_size_csr(sub)),
+        lambda sub: float(kernels.batch_vertex_cover_sizes(_one_ball(sub))[0]),
     ),
     "biconnectivity": (
         lambda ball: float(count_biconnected_components(ball)),
-        lambda sub: float(kernels.count_biconnected_csr(sub)),
+        lambda sub: float(kernels.batch_biconnected_counts(_one_ball(sub))[0]),
     ),
 }
 
@@ -294,7 +303,8 @@ def _bench_fused_batch(csr):
     def distortion_per_ball():
         r = random.Random(SEED)
         return [
-            distortion_csr(batch.sub_csr(i), rng=r) for i in range(len(batch))
+            distortion_csr_batch(_one_ball(batch.sub_csr(i)), rng=r)[0]
+            for i in range(len(batch))
         ]
 
     def distortion_fused():

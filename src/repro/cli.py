@@ -878,7 +878,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
         report = run_selfcheck(
             rounds=args.rounds, seed=args.seed, families=args.families
         )
-    except ValueError as exc:  # unknown --family name
+    except ValueError as exc:  # --rounds below 1, unknown --family name
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.ok else 1

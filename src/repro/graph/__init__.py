@@ -17,22 +17,19 @@ from repro.graph.kernels import (
     batch_vertex_cover_sizes,
     bfs_levels,
     bfs_with_path_counts,
-    count_biconnected_csr,
     degree_vector,
     fused_bfs_levels,
     fused_degrees,
     fused_level_counts,
     induced_subgraph,
     multi_source_distances,
-    vertex_cover_size_csr,
 )
 from repro.graph.kernels_flow import (
     bisection_cut_csr,
     max_flow_min_cut,
-    resilience_csr,
     resilience_csr_batch,
 )
-from repro.graph.kernels_trees import distortion_csr, distortion_csr_batch
+from repro.graph.kernels_trees import distortion_csr_batch
 from repro.graph.traversal import (
     bfs_distances,
     bfs_layers,
@@ -94,13 +91,9 @@ __all__ = [
     "batch_matching_cover_sizes",
     "batch_vertex_cover_sizes",
     "batch_biconnected_counts",
-    "vertex_cover_size_csr",
-    "count_biconnected_csr",
     "max_flow_min_cut",
     "bisection_cut_csr",
-    "resilience_csr",
     "resilience_csr_batch",
-    "distortion_csr",
     "distortion_csr_batch",
     "bfs_distances",
     "bfs_layers",

@@ -16,11 +16,11 @@ per-node hash-table BFS into frontier-at-a-time array operations:
 * :class:`FusedBatch` — a whole batch concatenated into one disjoint-
   union CSR with ``indptr``-style ball-offset segmentation, so one
   kernel sweep serves every ball (:func:`fused_bfs_levels`,
-  :func:`fused_level_counts`, :func:`fused_degrees`,
-  :func:`batch_vertex_cover_sizes`, :func:`batch_biconnected_counts`);
-* :func:`matching_cover_size` / :func:`greedy_cover_size` /
-  :func:`vertex_cover_size_csr` — the canonical vertex-cover pair;
-* :func:`count_biconnected_csr` — array-stack Tarjan block counting.
+  :func:`fused_level_counts`, :func:`fused_degrees`);
+* :func:`batch_vertex_cover_sizes` — the canonical matching/greedy
+  vertex-cover pair, per ball of a fused batch;
+* :func:`batch_biconnected_counts` — array-stack Tarjan block counting,
+  per ball of a fused batch.
 
 Every kernel is bitwise-equivalent to the dict-of-sets implementation it
 replaces (asserted by ``repro selfcheck --family kernels`` and the property
@@ -547,7 +547,7 @@ class FusedBatch:
 
         O(1) labels instead of materialising the original node objects;
         only safe for label-agnostic kernels (the bisection solver, the
-        cover/biconnectivity counters).
+        largest-component slice of a disconnected ball).
         """
         return CSRGraph(
             self._indptrs[i],
@@ -650,7 +650,11 @@ def batch_matching_cover_sizes(fused: FusedBatch) -> np.ndarray:
 
 
 def batch_vertex_cover_sizes(fused: FusedBatch) -> List[int]:
-    """Per-ball :func:`vertex_cover_size_csr`, matching fused.
+    """Per-ball vertex cover sizes (Figure 8 a–c), matching fused.
+
+    Each ball's size is the smaller of the matching and greedy covers,
+    value-equal to :func:`repro.graph.cover.vertex_cover_size` on the
+    thawed ball.
 
     The matching half runs once over the union; the greedy half is an
     inherently sequential argmax loop and stays per ball — but on the
@@ -670,14 +674,15 @@ def batch_vertex_cover_sizes(fused: FusedBatch) -> List[int]:
 
 
 def batch_biconnected_counts(fused: FusedBatch) -> List[int]:
-    """Per-ball biconnected-component counts, one Tarjan pass.
+    """Per-ball biconnected-component counts, one array-stack Tarjan pass.
 
-    The union's biconnected components are exactly the union of each
-    ball's (blocks never span disconnected parts), and the fused DFS
-    visits roots in concatenation order — i.e. each ball's roots in
-    local index order, same as :func:`count_biconnected_csr` per ball —
-    so attributing each pop event to its node's ball reproduces the
-    per-ball counts exactly.
+    Counts one block per tree-edge pop event with ``low[child] >=
+    depth[parent]`` — the same events on which the dict twin
+    (:func:`repro.graph.components.biconnected_components`) emits a
+    component; no edge stack is kept.  The union's biconnected
+    components are exactly the union of each ball's (blocks never span
+    disconnected parts), so attributing each pop event to its node's
+    ball yields every ball's own count.
     """
     counts = [0] * len(fused)
     n = int(fused.node_offsets[-1])
@@ -718,14 +723,18 @@ def batch_biconnected_counts(fused: FusedBatch) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# Vertex cover kernels (canonical twins live in repro.graph.cover)
+# Vertex cover helpers (canonical twins live in repro.graph.cover)
 # ----------------------------------------------------------------------
 
 def _handshake_matching_arrays(indptr, indices) -> np.ndarray:
-    """:func:`handshake_matching_flags` on bare CSR arrays.
+    """Matched flags of the canonical handshake matching, vectorized.
 
-    Shared by the scalar wrapper and the fused batch kernels — the
-    rounds only touch ``indptr``/``indices``, never node labels.
+    Rounds mirror :func:`repro.graph.cover._handshake_matching`: every
+    unmatched node proposes its minimum-index unmatched neighbor
+    (``np.minimum.at`` over the live edge set) and mutual proposals
+    match.  Terminates because the minimum-index active node is always
+    mutually matched each round.  The rounds only touch
+    ``indptr``/``indices``, never node labels.
     """
     n = len(indptr) - 1
     matched = np.zeros(n, dtype=bool)
@@ -751,25 +760,13 @@ def _handshake_matching_arrays(indptr, indices) -> np.ndarray:
         matched[proposal[candidates]] = True
 
 
-def handshake_matching_flags(csr: CSRGraph) -> np.ndarray:
-    """Matched flags of the canonical handshake matching, vectorized.
-
-    Rounds mirror :func:`repro.graph.cover._handshake_matching`: every
-    unmatched node proposes its minimum-index unmatched neighbor
-    (``np.minimum.at`` over the live edge set) and mutual proposals
-    match.  Terminates because the minimum-index active node is always
-    mutually matched each round.
-    """
-    return _handshake_matching_arrays(csr.indptr, csr.indices)
-
-
-def matching_cover_size(csr: CSRGraph) -> int:
-    """Size of the handshake-matching vertex cover (both endpoints)."""
-    return int(handshake_matching_flags(csr).sum())
-
-
 def _greedy_cover_arrays(indptr, indices) -> int:
-    """:func:`greedy_cover_size` on bare CSR arrays (label-agnostic)."""
+    """Size of the canonical max-degree greedy cover of one ball.
+
+    Mirrors :func:`repro.graph.cover._greedy_cover`: repeatedly remove
+    the maximum-residual-degree node (``np.argmax`` breaks ties toward
+    the minimum index, exactly like the twin's strict-``>`` scan).
+    """
     deg = np.diff(np.asarray(indptr, dtype=np.int64))
     uncovered = int(deg.sum()) // 2
     if uncovered == 0:
@@ -785,74 +782,3 @@ def _greedy_cover_arrays(indptr, indices) -> int:
         deg[live] -= 1
         picked += 1
     return picked
-
-
-def greedy_cover_size(csr: CSRGraph) -> int:
-    """Size of the canonical max-degree greedy cover.
-
-    Mirrors :func:`repro.graph.cover._greedy_cover`: repeatedly remove
-    the maximum-residual-degree node (``np.argmax`` breaks ties toward
-    the minimum index, exactly like the twin's strict-``>`` scan).
-    """
-    return _greedy_cover_arrays(csr.indptr, csr.indices)
-
-
-def vertex_cover_size_csr(csr: CSRGraph) -> int:
-    """The smaller of the matching and greedy covers (Figure 8 a–c).
-
-    Value-equal to :func:`repro.graph.cover.vertex_cover_size` on the
-    thawed graph.
-    """
-    if not csr.indices.size:
-        return 0
-    return min(matching_cover_size(csr), greedy_cover_size(csr))
-
-
-# ----------------------------------------------------------------------
-# Biconnectivity kernel (dict twin: repro.graph.components)
-# ----------------------------------------------------------------------
-
-def count_biconnected_csr(csr: CSRGraph) -> int:
-    """Number of biconnected components, by array-stack Tarjan DFS.
-
-    Counts one block per tree-edge pop event with ``low[child] >=
-    depth[parent]`` — the same events on which the dict twin
-    (:func:`repro.graph.components.biconnected_components`) emits a
-    component, so the counts agree on every graph.  No edge stack is
-    kept; only the count is needed.
-    """
-    n = csr.number_of_nodes()
-    indptr = csr.indptr.tolist()
-    indices = csr.indices.tolist()
-    depth = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    ptr = list(indptr[:-1])
-    count = 0
-    for root in range(n):
-        if depth[root] >= 0:
-            continue
-        depth[root] = 0
-        low[root] = 0
-        stack = [root]
-        while stack:
-            u = stack[-1]
-            if ptr[u] < indptr[u + 1]:
-                v = indices[ptr[u]]
-                ptr[u] += 1
-                if depth[v] < 0:
-                    depth[v] = depth[u] + 1
-                    low[v] = depth[v]
-                    parent[v] = u
-                    stack.append(v)
-                elif v != parent[u] and depth[v] < low[u]:
-                    low[u] = depth[v]
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1]
-                    if low[u] >= depth[p]:
-                        count += 1
-                    if low[u] < low[p]:
-                        low[p] = low[u]
-    return count

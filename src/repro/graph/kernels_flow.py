@@ -4,16 +4,16 @@ solver behind the resilience metric.
 The dict twin is :mod:`repro.graph.partition` (multilevel FM with exact
 max-flow boundary refinement) driven by :func:`repro.metrics.resilience.
 resilience_of`.  This module re-implements the same *canonical*
-algorithm over CSR arrays:
+algorithm over CSR arrays and owns its tuning constants (the twin
+imports them from here):
 
 * :func:`max_flow_min_cut` — BFS-augmenting-path (Edmonds–Karp) max
   flow over plain lists of exact Python integers, with the
   residual-reachable source side of the min cut.  The flow value and
   the residual-reachable set are unique — identical for *every* max
   flow — so the kernel agrees with the twin's Dinic solver exactly.
-* :func:`bisection_cut_csr` / :func:`resilience_csr` — bitwise mirrors
-  of :func:`repro.graph.partition.bisection_cut_size` and
-  :func:`repro.metrics.resilience.resilience_of`: same exact-regime
+* :func:`bisection_cut_csr` — the per-ball solver, a bitwise mirror of
+  :func:`repro.graph.partition.bisection_cut_size`: same exact-regime
   Gray-code enumeration (vectorized over all masks at once), same
   deterministic handshake coarsening, canonical BFS growth, boundary FM
   and flow refinement, making literally the same ``rng`` draws.  The
@@ -23,10 +23,12 @@ algorithm over CSR arrays:
   are totally ordered ``(-gain, node, version)`` tuples, so the
   sequence is a pure function of the entry multiset and both
   implementations walk the same moves.
-
-On disconnected input :func:`resilience_csr` evaluates the largest
-component (:func:`repro.graph.kernels.largest_component_csr`), the
-component the dict twin picks; engine balls are always connected.
+* :func:`resilience_csr_batch` — the metric on every ball of a
+  :class:`~repro.graph.kernels.FusedBatch`, bitwise equal to
+  ``resilience_of`` on each thawed ball.  A disconnected ball is
+  evaluated on its largest component
+  (:func:`repro.graph.kernels.largest_component_csr`), the component
+  the dict twin picks; engine balls are always connected.
 """
 
 from __future__ import annotations
@@ -43,18 +45,47 @@ from repro.graph.kernels import (
     UNREACHED,
     FusedBatch,
     _gather_rows,
-    bfs_levels,
     fused_bfs_levels,
     largest_component_csr,
 )
-from repro.graph.partition import (
-    _COARSEST,
-    _EXACT_MAX,
-    _FLOW_REGION_MAX,
-    _FM_STALL,
-    _side_weight_bound,
-    balance_bound,
-)
+
+#: Graphs this small are solved exactly by enumeration.
+_EXACT_MAX = 14
+
+#: Coarsening stops once the graph has at most this many nodes.
+_COARSEST = 48
+
+#: An FM pass ends after this many consecutive non-improving moves.
+_FM_STALL = 24
+
+#: Flow refinement only runs when the boundary region is at most this
+#: large.  Exact max flow on huge boundary bands (dense random balls)
+#: costs more than every other stage combined and essentially never
+#: improves an FM-refined cut there; small regions — trees, meshes, the
+#: low-resilience topologies where the refinement matters — keep it.
+_FLOW_REGION_MAX = 300
+
+
+def balance_bound(n: int, balance_slack: float = 0.05) -> int:
+    """Maximum side size of a feasible split of ``n`` unit-weight nodes."""
+    return min(n - 1, int(n / 2 + max(1.0, balance_slack * n)))
+
+
+def _side_weight_bound(
+    node_weights: List[int], balance_slack: float
+) -> float:
+    """Maximum weight either side may hold during refinement."""
+    total = sum(node_weights)
+    max_node_w = max(node_weights) if node_weights else 0
+    min_node_w = min(node_weights) if node_weights else 0
+    # Each side may hold at most half the weight plus slack; the slack is
+    # never smaller than the heaviest node so a legal move always exists,
+    # but neither side may ever be emptied out completely.
+    return min(
+        total - min_node_w,
+        total / 2 + max(max_node_w, balance_slack * total),
+    )
+
 
 #: Arc list type for :func:`max_flow_min_cut`: directed ``(u, v, cap)``.
 Arc = Tuple[int, int, int]
@@ -540,44 +571,22 @@ def bisection_cut_csr(
     return _cut_csr(fine, best_side)
 
 
-def resilience_csr(
-    sub: CSRGraph, rng: Optional[random.Random] = None, trials: int = 3
-) -> float:
-    """Resilience of a CSR ball, bitwise equal to the dict twin
-    :func:`repro.metrics.resilience.resilience_of` on the thawed graph.
-
-    Disconnected input is evaluated on its largest component, as the
-    twin does; engine balls are always connected.
-    """
-    rng = rng if rng is not None else random.Random(0)
-    n = sub.number_of_nodes()
-    if n == 0:
-        return 0.0
-    probe = bfs_levels(sub, 0)
-    if bool((probe == UNREACHED).any()):
-        return resilience_csr(largest_component_csr(sub), rng=rng, trials=trials)
-    if n < 2:
-        return 0.0
-    return float(bisection_cut_csr(sub, rng=rng, trials=trials))
-
-
 def resilience_csr_batch(
     fused: FusedBatch,
     rng: Optional[random.Random] = None,
     trials: int = 3,
 ) -> List[float]:
-    """Every ball's :func:`resilience_csr`, sharing one fused probe.
+    """Every ball's resilience, sharing one fused connectivity probe.
 
-    Bitwise equal to ``[resilience_csr(fused.sub_csr(b), rng) ...]`` on
-    the same rng.  The bisection solver is a scalar multilevel loop
-    (its heap pop sequence *is* the algorithm), so each ball still runs
-    it separately — this batch entry point's wins are the single fused
-    connectivity sweep replacing one probe BFS per ball and the
-    ``range``-labelled local CSR views that skip ``sub_csr``'s node-
+    Bitwise equal to ``[resilience_of(fused.sub_csr(b).thaw(), rng,
+    trials) ...]`` on the same rng.  The bisection solver is a scalar
+    multilevel loop (its heap pop sequence *is* the algorithm), so each
+    ball still runs it separately — this entry point's wins are the
+    single fused connectivity sweep replacing one probe BFS per ball and
+    the ``range``-labelled local CSR views that skip ``sub_csr``'s node-
     label materialisation (the solver never reads labels).  Draws stay
-    sequential per ball in schedule order, exactly like the per-ball
-    loop; disconnected balls go through :func:`resilience_csr` (which
-    re-probes, drawing nothing first).
+    sequential per ball in schedule order; a disconnected ball is cut on
+    its largest component, drawing nothing before the solver.
     """
     rng = rng if rng is not None else random.Random(0)
     num_balls = len(fused)
@@ -593,19 +602,10 @@ def resilience_csr_batch(
     )
     probe = fused_bfs_levels(fused, probe_sources)
     for b in range(num_balls):
-        lo = int(fused.node_offsets[b])
-        hi = int(fused.node_offsets[b + 1])
-        n_b = hi - lo
-        if n_b == 0:
-            continue  # twin returns 0.0, no draws
-        if bool((probe[lo:hi] == UNREACHED).any()):
-            results[b] = resilience_csr(
-                fused.sub_csr(b), rng=rng, trials=trials
-            )
-            continue
-        if n_b < 2:
-            continue  # connected singleton: 0.0, no draws
-        results[b] = float(
-            bisection_cut_csr(fused.local_csr(b), rng=rng, trials=trials)
-        )
+        ball = fused.local_csr(b)
+        if bool((probe[fused.ball_slice(b)] == UNREACHED).any()):
+            ball = largest_component_csr(ball)
+        if ball.number_of_nodes() < 2:
+            continue  # twin returns 0.0 without drawing
+        results[b] = float(bisection_cut_csr(ball, rng=rng, trials=trials))
     return results

@@ -2,18 +2,22 @@
 
 The dict twin is :func:`repro.metrics.distortion.distortion_of`, whose
 inner loop scores canonical BFS trees (minimum-index parents) with the
-``TreeIndex`` LCA machinery.  This module vectorizes the same math:
+``TreeIndex`` LCA machinery.  :func:`distortion_csr_batch` vectorizes
+the same math over every ball of a
+:class:`~repro.graph.kernels.FusedBatch` at once:
 
-* :func:`canonical_bfs_parents` — the min-index-parent BFS tree as one
-  ``np.minimum.at`` scatter per graph;
-* :func:`tree_edge_distance_total` — the integer sum over graph edges of
-  their tree distance, via vectorized binary-lifting LCA over all edges
-  at once;
-* :func:`distortion_csr` — the full metric on a CSR ball, bitwise equal
-  to the twin (both reduce to ``min(integer totals) / num_edges``; IEEE
-  division is monotone in the numerator, so the minima coincide).
+* one packed multi-source BFS sums each node's closeness score
+  (:func:`_fused_closeness_scores`);
+* per root slot, the min-index-parent BFS trees of every ball come from
+  one ``np.minimum.at`` scatter (:func:`_fused_parents`);
+* the integer sum over graph edges of their tree distance comes from
+  vectorized binary-lifting LCA over all edges at once
+  (:func:`_fused_tree_totals`).
 
-On disconnected input the kernel evaluates the largest component
+Each ball's value is bitwise equal to the twin's (both reduce to
+``min(integer totals) / num_edges``; IEEE division is monotone in the
+numerator, so the minima coincide).  A disconnected ball is evaluated
+on its largest component
 (:func:`repro.graph.kernels.largest_component_csr`), the component the
 dict twin picks; engine balls are always connected.
 """
@@ -25,15 +29,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
 from repro.graph.kernels import (
     UNREACHED,
     FusedBatch,
     _gather_rows,
-    bfs_levels,
     fused_bfs_levels,
     largest_component_csr,
-    multi_source_distances,
 )
 
 #: Sample size for the closeness-center source set (twin:
@@ -41,142 +42,6 @@ from repro.graph.kernels import (
 CENTER_SOURCES = 24
 
 _RANDOM_ROOTS = 2
-
-
-def closeness_center_index(
-    csr: CSRGraph, rng: random.Random, num_sources: int = CENTER_SOURCES
-) -> int:
-    """First index minimizing the summed BFS distance from the sources.
-
-    Draws the identical ``rng.sample`` the twin draws, sums integer
-    distances, and takes ``np.argmin`` (first minimum — the twin's
-    min-index tie break).  Requires a connected graph.
-    """
-    n = csr.number_of_nodes()
-    if n <= num_sources:
-        sources: List[int] = list(range(n))
-    else:
-        sources = rng.sample(range(n), num_sources)
-    dist = multi_source_distances(csr, sources)
-    score = dist.astype(np.int64).sum(axis=0)
-    return int(np.argmin(score))
-
-
-def canonical_bfs_parents(
-    csr: CSRGraph, root: int, dist: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Canonical BFS-tree parents: minimum-index neighbor one level up.
-
-    Returns an int64 vector with ``parent[root] == -1``; every other
-    node's parent is its smallest-index neighbor at BFS distance one
-    less — the same tree ``repro.metrics.distortion.
-    _canonical_bfs_parents`` builds node by node.  Requires a connected
-    graph.
-    """
-    n = csr.number_of_nodes()
-    if dist is None:
-        dist = bfs_levels(csr, root)
-    src = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(csr.indptr.astype(np.int64))
-    )
-    dst = csr.indices.astype(np.int64)
-    up_edge = dist[dst] == dist[src] - 1
-    parent = np.full(n, n, dtype=np.int64)
-    np.minimum.at(parent, src[up_edge], dst[up_edge])
-    parent[root] = -1
-    return parent
-
-
-def tree_edge_distance_total(
-    csr: CSRGraph, parent: np.ndarray, depth: np.ndarray
-) -> int:
-    """Integer total of tree distances between every graph edge's ends.
-
-    ``parent``/``depth`` describe a spanning tree of the (connected)
-    graph; each undirected edge ``(u, v)`` contributes
-    ``depth[u] + depth[v] - 2 * depth[lca(u, v)]``.  The LCA of all
-    edges is computed at once by vectorized binary lifting.
-    """
-    n = csr.number_of_nodes()
-    src = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(csr.indptr.astype(np.int64))
-    )
-    dst = csr.indices.astype(np.int64)
-    once = src < dst
-    a = src[once]
-    b = dst[once]
-    if not a.size:
-        return 0
-
-    depth = depth.astype(np.int64)
-    max_depth = int(depth.max())
-    levels = max(1, max_depth.bit_length())
-    up = np.empty((levels, n), dtype=np.int64)
-    up[0] = np.where(parent < 0, np.arange(n, dtype=np.int64), parent)
-    for k in range(1, levels):
-        up[k] = up[k - 1][up[k - 1]]
-
-    # Lift the deeper endpoint to the shallower one's level.
-    swap = depth[a] < depth[b]
-    a, b = np.where(swap, b, a), np.where(swap, a, b)
-    diff = depth[a] - depth[b]
-    for k in range(levels):
-        lift = (diff >> k) & 1 == 1
-        a = np.where(lift, up[k][a], a)
-    # Lift both until the parents coincide.
-    for k in range(levels - 1, -1, -1):
-        apart = up[k][a] != up[k][b]
-        a = np.where(apart, up[k][a], a)
-        b = np.where(apart, up[k][b], b)
-    lca = np.where(a == b, a, up[0][a])
-
-    u = src[once]
-    v = dst[once]
-    total = depth[u].sum() + depth[v].sum() - 2 * depth[lca].sum()
-    return int(total)
-
-
-def distortion_csr(
-    sub: CSRGraph,
-    rng: Optional[random.Random] = None,
-    random_roots: int = _RANDOM_ROOTS,
-) -> float:
-    """Distortion of a CSR ball, bitwise equal to the dict twin.
-
-    Scores the closeness-center, max-degree and ``random_roots``
-    random-rooted canonical BFS trees and returns the minimum integer
-    total divided by the edge count.  Disconnected input is evaluated
-    on its largest component, as the twin does.
-    """
-    rng = rng if rng is not None else random.Random(0)
-    n = sub.number_of_nodes()
-    m = sub.number_of_edges()
-    if m == 0:
-        return 0.0
-    probe = bfs_levels(sub, 0)
-    if bool((probe == UNREACHED).any()):
-        return distortion_csr(
-            largest_component_csr(sub), rng=rng, random_roots=random_roots
-        )
-
-    center = closeness_center_index(sub, rng)
-    roots = [center]
-    degrees = np.diff(sub.indptr)
-    max_degree_node = int(np.argmax(degrees))
-    if max_degree_node != center:
-        roots.append(max_degree_node)
-    for _ in range(random_roots):
-        roots.append(rng.randrange(n))
-
-    best: Optional[int] = None
-    for root in roots:
-        depth = bfs_levels(sub, root)
-        parent = canonical_bfs_parents(sub, root, dist=depth)
-        total = tree_edge_distance_total(sub, parent, depth)
-        if best is None or total < best:
-            best = total
-    assert best is not None
-    return best / m
 
 
 # ----------------------------------------------------------------------
@@ -248,9 +113,11 @@ def _fused_closeness_scores(
 def _fused_parents(fused: FusedBatch, dist: np.ndarray) -> np.ndarray:
     """Canonical min-index BFS parents over the whole fused union.
 
-    Like :func:`canonical_bfs_parents` but for every ball at once:
-    node-index order within a ball is preserved by the fused shift, so
-    each ball's slice is its own canonical parent vector.  Roots (and
+    Every node's parent is its smallest-index neighbor one BFS level up
+    — the tree ``repro.metrics.distortion._canonical_bfs_parents`` builds
+    node by node — for every ball at once: node-index order within a
+    ball is preserved by the fused shift, so each ball's slice is its
+    own canonical parent vector.  Roots (and
     nodes unreached in this sweep) keep the sentinel ``n`` — the LCA
     machinery maps any out-of-range parent to "self".
     """
@@ -266,9 +133,12 @@ def _fused_parents(fused: FusedBatch, dist: np.ndarray) -> np.ndarray:
 def _fused_tree_totals(
     fused: FusedBatch, parent: np.ndarray, depth: np.ndarray
 ) -> np.ndarray:
-    """Per-ball :func:`tree_edge_distance_total`, one lifted LCA pass.
+    """Per-ball integer total of tree distances between every graph
+    edge's ends, one lifted LCA pass.
 
-    Returns an int64 vector of length ``len(fused)``.  Edges never
+    Each undirected edge ``(u, v)`` contributes ``depth[u] + depth[v] -
+    2 * depth[lca(u, v)]``.  Returns an int64 vector of length
+    ``len(fused)``.  Edges never
     cross balls, so one binary-lifting table over the union serves all
     trees at once; each edge's contribution is scattered into its
     ball's total with an exact integer ``np.add.at``.  Balls whose
@@ -320,18 +190,22 @@ def distortion_csr_batch(
     rng: Optional[random.Random] = None,
     random_roots: int = _RANDOM_ROOTS,
 ) -> List[float]:
-    """Every ball's :func:`distortion_csr`, in a handful of fused sweeps.
+    """Every ball's distortion, in a handful of fused sweeps.
 
-    Bitwise equal to ``[distortion_csr(fused.sub_csr(b), rng) ...]`` on
-    the *same* rng: the twin's draws (``rng.sample`` for the closeness
-    sources, ``rng.randrange`` per random root) depend only on each
-    ball's node count, so they are replayed per ball in schedule order
-    up front, before any fused array work.  Edgeless balls draw nothing
-    and score 0.0; disconnected balls fall back to the scalar kernel *in
-    sequence* (it consumes the rng exactly as the per-ball loop would).
-    Connected balls then share one packed closeness sweep and one
-    BFS + parents + LCA pass per root *slot* (center / max-degree /
-    each random root) instead of per ball.
+    Scores each ball's closeness-center, max-degree and ``random_roots``
+    random-rooted canonical BFS trees and returns the minimum integer
+    total divided by the edge count — bitwise equal to
+    ``[distortion_of(fused.sub_csr(b).thaw(), rng) ...]`` on the *same*
+    rng.  The twin's draws (``rng.sample`` for the closeness sources,
+    ``rng.randrange`` per random root) depend only on each ball's node
+    count, so they are replayed per ball in schedule order up front,
+    before any fused array work.  Edgeless balls draw
+    nothing and score 0.0; a disconnected ball is scored *in sequence*
+    as a one-ball batch of its largest component, which consumes the
+    rng exactly where the per-ball loop would.  Connected balls then
+    share one packed closeness sweep and one BFS + parents + LCA pass
+    per root *slot* (center / max-degree / each random root) instead of
+    per ball.
     """
     rng = rng if rng is not None else random.Random(0)
     num_balls = len(fused)
@@ -358,12 +232,15 @@ def distortion_csr_batch(
         hi = int(fused.node_offsets[b + 1])
         n_b = hi - lo
         if bool((probe[lo:hi] == UNREACHED).any()):
-            # Disconnected: the scalar kernel re-probes and scores the
-            # largest component, consuming the rng here, in the same
+            # Disconnected: score the (connected) largest component as
+            # its own batch, consuming the rng here, in the same
             # schedule position as a per-ball loop would.
-            results[b] = distortion_csr(
-                fused.sub_csr(b), rng=rng, random_roots=random_roots
-            )
+            component = largest_component_csr(fused.local_csr(b))
+            results[b] = distortion_csr_batch(
+                FusedBatch.from_csrs([component]),
+                rng=rng,
+                random_roots=random_roots,
+            )[0]
             continue
         if n_b <= CENTER_SOURCES:
             local_sources: List[int] = list(range(n_b))

@@ -22,8 +22,8 @@ This module is a from-scratch multilevel partitioner in the same spirit:
 Every step is *canonical*: given the node index order and the seed draws,
 the algorithm is a deterministic function with min-index tie-breaking
 throughout.  :mod:`repro.graph.kernels_flow` implements the same
-algorithm over CSR arrays, and the two must agree bitwise — the
-differential suite in ``tests/test_kernels_metrics.py`` and the
+algorithm over CSR arrays and owns the tuning constants both share; the
+two must agree bitwise — the differential suite in ``tests/test_kernels_metrics.py`` and the
 ``kernels`` selfcheck family enforce it.
 
 Tests verify the known growth laws the paper quotes: R(n) ∝ n for random
@@ -38,27 +38,19 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.core import Graph
 from repro.graph.flow import Dinic
+from repro.graph.kernels_flow import (
+    _COARSEST,
+    _EXACT_MAX,
+    _FLOW_REGION_MAX,
+    _FM_STALL,
+    _side_weight_bound,
+    balance_bound,
+)
 
 Node = Hashable
 
 # Adjacency with edge weights: _WAdj[u][v] == weight of edge (u, v).
 _WAdj = List[Dict[int, int]]
-
-#: Graphs this small are solved exactly by enumeration.
-_EXACT_MAX = 14
-
-#: Coarsening stops once the graph has at most this many nodes.
-_COARSEST = 48
-
-#: An FM pass ends after this many consecutive non-improving moves.
-_FM_STALL = 24
-
-#: Flow refinement only runs when the boundary region is at most this
-#: large.  Exact max flow on huge boundary bands (dense random balls)
-#: costs more than every other stage combined and essentially never
-#: improves an FM-refined cut there; small regions — trees, meshes, the
-#: low-resilience topologies where the refinement matters — keep it.
-_FLOW_REGION_MAX = 300
 
 
 def balanced_bipartition(
@@ -155,11 +147,6 @@ def greedy_bisection_cut_size(
 # ----------------------------------------------------------------------
 # Exact regime
 # ----------------------------------------------------------------------
-
-def balance_bound(n: int, balance_slack: float = 0.05) -> int:
-    """Maximum side size of a feasible split of ``n`` unit-weight nodes."""
-    return min(n - 1, int(n / 2 + max(1.0, balance_slack * n)))
-
 
 def _exact_bipartition(
     adj: _WAdj, balance_slack: float
@@ -376,22 +363,6 @@ def _cut_size(adj: _WAdj, side: Sequence[int]) -> int:
             if v > u and side[v] != su:
                 cut += w
     return cut
-
-
-def _side_weight_bound(
-    node_weights: List[int], balance_slack: float
-) -> float:
-    """Maximum weight either side may hold during refinement."""
-    total = sum(node_weights)
-    max_node_w = max(node_weights) if node_weights else 0
-    min_node_w = min(node_weights) if node_weights else 0
-    # Each side may hold at most half the weight plus slack; the slack is
-    # never smaller than the heaviest node so a legal move always exists,
-    # but neither side may ever be emptied out completely.
-    return min(
-        total - min_node_w,
-        total / 2 + max(max_node_w, balance_slack * total),
-    )
 
 
 def _fm_refine(

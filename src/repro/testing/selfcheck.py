@@ -37,24 +37,24 @@ implementations still trustworthy?":
     freeze/thaw round-trips, vectorized BFS distances, ball
     memberships, degree vectors, shortest-path counts), *flow*
     (Edmonds–Karp max-flow/min-cut vs. Dinic, incl. capacities beyond
-    int64, plus ``bisection_cut_csr``/``resilience_csr`` vs. the
-    multilevel partitioner under a shared RNG stream), *tree*
-    (``distortion_csr`` vs. ``distortion_of``), *biconn*
-    (``count_biconnected_csr`` vs. the Tarjan dict walk), *cover*
-    (``vertex_cover_size_csr`` vs. the matching/greedy heuristic),
-    ``BallBatch`` sub-CSRs vs. per-ball induced subgraphs, and *fused*
-    (every segmented kernel over a
-    :class:`~repro.graph.kernels.FusedBatch` sliced back per ball vs. a
-    ``sub_csr`` loop; ``distortion_csr_batch``/``resilience_csr_batch``
-    vs. their scalar twins under one shared RNG stream — same draws,
-    same order, same final RNG state), and *links* (Section 5 traversal
-    sets and link values from path-count rows vs. the per-pair DAG
-    walk, entry order and weight bits included).  Plus two whole-system
-    legs: the production :class:`~repro.engine.MetricEngine` vs. the
-    dict-of-sets :class:`~repro.testing.OracleEngine` across all seven
-    series, and a
-    shared-memory publish/attach/release round-trip that must be
-    bitwise lossless and leave ``/dev/shm`` clean.
+    int64, plus ``bisection_cut_csr`` vs. the multilevel partitioner
+    under a shared RNG stream), ``BallBatch`` sub-CSRs vs. per-ball
+    induced subgraphs, *fused* (every segmented kernel over a
+    :class:`~repro.graph.kernels.FusedBatch` sliced back per ball vs.
+    the single-graph kernels), the four batch metric kernels vs. their
+    dict twins on each thawed ball — *tree* (``distortion_csr_batch``
+    vs. ``distortion_of``), ``resilience_csr_batch`` vs.
+    ``resilience_of``, *biconn* (``batch_biconnected_counts`` vs. the
+    Tarjan dict walk), *cover* (``batch_vertex_cover_sizes`` vs. the
+    matching/greedy heuristic) — on radius balls and on shuffled,
+    possibly disconnected balls, under one shared RNG stream (same
+    draws, same order, same final RNG state), and *links* (Section 5
+    traversal sets and link values from path-count rows vs. the
+    per-pair DAG walk, entry order and weight bits included).  Plus two
+    whole-system legs: the production :class:`~repro.engine.MetricEngine`
+    vs. the dict-of-sets :class:`~repro.testing.OracleEngine` across all
+    seven series, and a shared-memory publish/attach/release round-trip
+    that must be bitwise lossless and leave ``/dev/shm`` clean.
 ``faults``
     The fault-tolerant runtime (:mod:`repro.runtime`): injected crashes
     and garbage results are retried to a bitwise-identical run,
@@ -794,23 +794,20 @@ def _check_streaming(rng: random.Random, report: FamilyReport) -> None:
 
 
 def _kernels_metric_cores(rng: random.Random, report: FamilyReport) -> None:
-    """Sub-streams *flow*, *tree*, *biconn*, *cover*: the scalar CSR
-    metric kernels vs. their dict twins.
+    """Sub-stream *flow*: the flow solvers vs. their dict twins, plus
+    ``BallBatch`` slicing.
 
-    One sub-stream per kernel surface, each asserting **bitwise**
-    equality — the kernels are not
-    approximations of the pure-Python metric cores, they are the same
+    Every check asserts **bitwise** equality — the kernels are not
+    approximations of the pure-Python cores, they are the same
     canonical algorithms re-expressed over arrays, so any drift is a
-    bug.  The RNG-consuming kernels are driven with a fresh
-    ``random.Random`` seeded identically to the twin's, which also
-    verifies the kernels draw the same stream in the same order.
+    bug.  The bisection solver is driven with a fresh ``random.Random``
+    seeded identically to the twin's, which also verifies it draws the
+    same stream in the same order.
     """
     import numpy as np
 
     from repro.graph import kernels as kernels_mod
     from repro.graph import kernels_flow as flow_mod
-    from repro.graph import kernels_trees as trees_mod
-    from repro.graph.components import count_biconnected_components
 
     def fail(msg: str) -> None:
         report.failures.append(CheckFailure(report.family, report.checks, msg))
@@ -871,55 +868,6 @@ def _kernels_metric_cores(rng: random.Random, report: FamilyReport) -> None:
             f"{want_cut} for the same RNG stream"
         )
 
-    report.checks += 1
-    gd = random_graph(rng)  # possibly disconnected: largest-component slice
-    if rng.random() < 0.3:
-        # A path as large as the largest component: a tie the lowest
-        # first index must break, as the dict twin breaks it.
-        size = largest_connected_component(gd).number_of_nodes()
-        offset = gd.number_of_nodes()
-        gd.add_edges_from((offset + i, offset + i + 1) for i in range(size - 1))
-    # Shuffled insertion order: components stop being index ranges.
-    order = gd.nodes()
-    rng.shuffle(order)
-    shuffled = Graph(name=gd.name)
-    shuffled.add_nodes_from(order)
-    shuffled.add_edges_from(gd.iter_edges())
-    gd = shuffled
-    csr_d = gd.freeze()
-    stream = rng.getrandbits(32)
-    got_r = flow_mod.resilience_csr(csr_d, rng=random.Random(stream), trials=3)
-    want_r = resilience_mod.resilience_of(
-        gd, rng=random.Random(stream), trials=3
-    )
-    if got_r != want_r:
-        fail(f"resilience_csr {got_r} != resilience_of {want_r}")
-
-    # --- tree: spanning-tree distortion kernel vs. the dict twin ------
-    report.checks += 1
-    stream = rng.getrandbits(32)
-    got_d = trees_mod.distortion_csr(csr_d, rng=random.Random(stream))
-    want_d = distortion_of(gd, rng=random.Random(stream))
-    if got_d != want_d:
-        fail(f"distortion_csr {got_d} != distortion_of {want_d}")
-
-    # --- biconn: array-stack Tarjan vs. the recursive dict walk -------
-    report.checks += 1
-    got_b = kernels_mod.count_biconnected_csr(csr_d)
-    want_b = count_biconnected_components(gd)
-    if got_b != want_b:
-        fail(
-            f"count_biconnected_csr {got_b} != "
-            f"count_biconnected_components {want_b}"
-        )
-
-    # --- cover: matching/greedy kernel vs. the dict heuristic ---------
-    report.checks += 1
-    got_c = kernels_mod.vertex_cover_size_csr(csr_d)
-    want_c = vertex_cover_size(gd)
-    if got_c != want_c:
-        fail(f"vertex_cover_size_csr {got_c} != vertex_cover_size {want_c}")
-
     # --- BallBatch: batched sub-CSRs == one-at-a-time extraction ------
     report.checks += 1
     csr = g.freeze()
@@ -940,26 +888,93 @@ def _kernels_metric_cores(rng: random.Random, report: FamilyReport) -> None:
             fail(f"BallBatch.sub_csr({i}) != induced_subgraph on ball {i}")
 
 
-def _kernels_fused(rng: random.Random, report: FamilyReport) -> None:
-    """Sub-stream *fused*: fused batch execution vs. the per-ball loop.
+def _shuffled_disconnected_ball(rng: random.Random):
+    """A possibly disconnected graph frozen in a shuffled node order.
 
-    *Segmented kernels* (every fused kernel sliced back per ball vs. a
-    ``sub_csr`` loop), *batch metric entry points*
-    (``distortion_csr_batch``/``resilience_csr_batch`` vs. the scalar
-    twins under one shared RNG stream — which also proves the batch
-    path makes the identical draws in the identical order), and a
-    shared-memory publish/attach round-trip that must hand back
-    bitwise-identical arrays and leave no live segment.
+    Shuffled insertion order stops components being index ranges; in
+    about a third of the draws an extra path as large as the largest
+    component makes a tie the lowest first index must break, as the
+    dict twins break it.
+    """
+    g = random_graph(rng)
+    if rng.random() < 0.3:
+        size = largest_connected_component(g).number_of_nodes()
+        offset = g.number_of_nodes()
+        g.add_node(offset)
+        g.add_edges_from((offset + i, offset + i + 1) for i in range(size - 1))
+    order = g.nodes()
+    rng.shuffle(order)
+    shuffled = Graph(name=g.name)
+    shuffled.add_nodes_from(order)
+    shuffled.add_edges_from(g.iter_edges())
+    return shuffled.freeze()
+
+
+def _kernels_fused(rng: random.Random, report: FamilyReport) -> None:
+    """Sub-streams *fused*, *tree*, *biconn*, *cover*: the fused batch
+    kernels vs. the per-ball loop and the dict twins.
+
+    *Segmented kernels* (every fused kernel sliced back per ball vs. the
+    single-graph kernels on ``sub_csr``), the four *batch metric
+    kernels* vs. their dict twins on each thawed ball — for radius
+    balls and for shuffled, possibly disconnected balls fused with
+    ``FusedBatch.from_csrs`` — under one shared RNG stream, which also
+    proves the batch path makes the identical draws in the identical
+    order, and a shared-memory publish/attach round-trip that must hand
+    back bitwise-identical arrays and leave no live segment.
     """
     import numpy as np
 
     from repro.graph import kernels as kernels_mod
     from repro.graph import kernels_flow as flow_mod
     from repro.graph import kernels_trees as trees_mod
+    from repro.graph.components import count_biconnected_components
+    from repro.graph.cover import matching_vertex_cover
     from repro.runtime import shm as shm_mod
 
     def fail(msg: str) -> None:
         report.failures.append(CheckFailure(report.family, report.checks, msg))
+
+    def check_metrics(fused, label: str) -> None:
+        """The four batch metric kernels vs. the dict twins, bitwise."""
+        balls = [fused.sub_csr(b).thaw() for b in range(len(fused))]
+        report.checks += 1
+        matching = kernels_mod.batch_matching_cover_sizes(fused)
+        covers = kernels_mod.batch_vertex_cover_sizes(fused)
+        biconn = kernels_mod.batch_biconnected_counts(fused)
+        for i, ball in enumerate(balls):
+            if int(matching[i]) != len(matching_vertex_cover(ball)):
+                fail(f"batch_matching_cover_sizes != twin on {label} ball {i}")
+            if covers[i] != vertex_cover_size(ball):
+                fail(f"batch_vertex_cover_sizes != twin on {label} ball {i}")
+            if biconn[i] != count_biconnected_components(ball):
+                fail(
+                    f"batch_biconnected_counts != "
+                    f"count_biconnected_components on {label} ball {i}"
+                )
+
+        report.checks += 1
+        stream = rng.getrandbits(32)
+        solo_rng, batch_rng = random.Random(stream), random.Random(stream)
+        want = [distortion_of(ball, rng=solo_rng) for ball in balls]
+        got = trees_mod.distortion_csr_batch(fused, rng=batch_rng)
+        if [repr(v) for v in want] != [repr(v) for v in got]:
+            fail(f"distortion_csr_batch {got} != distortion_of {want} ({label})")
+        if solo_rng.getrandbits(64) != batch_rng.getrandbits(64):
+            fail(f"distortion_csr_batch left the RNG stream elsewhere ({label})")
+
+        report.checks += 1
+        stream = rng.getrandbits(32)
+        solo_rng, batch_rng = random.Random(stream), random.Random(stream)
+        want = [
+            resilience_mod.resilience_of(ball, rng=solo_rng, trials=3)
+            for ball in balls
+        ]
+        got = flow_mod.resilience_csr_batch(fused, rng=batch_rng, trials=3)
+        if [repr(v) for v in want] != [repr(v) for v in got]:
+            fail(f"resilience_csr_batch {got} != resilience_of {want} ({label})")
+        if solo_rng.getrandbits(64) != batch_rng.getrandbits(64):
+            fail(f"resilience_csr_batch left the RNG stream elsewhere ({label})")
 
     # --- segmented kernels: fused union == per-ball sub_csr loop ------
     report.checks += 1
@@ -974,7 +989,6 @@ def _kernels_fused(rng: random.Random, report: FamilyReport) -> None:
         )
     batch = kernels_mod.BallBatch(csr, members_list)
     fused = kernels_mod.FusedBatch(batch)
-    subs = [batch.sub_csr(i) for i in range(len(batch))]
     degs = kernels_mod.fused_degrees(fused)
     sources = np.array(
         [
@@ -985,10 +999,8 @@ def _kernels_fused(rng: random.Random, report: FamilyReport) -> None:
     )
     dist = kernels_mod.fused_bfs_levels(fused, sources)
     counts = kernels_mod.fused_level_counts(fused, dist)
-    matching = kernels_mod.batch_matching_cover_sizes(fused)
-    covers = kernels_mod.batch_vertex_cover_sizes(fused)
-    biconn = kernels_mod.batch_biconnected_counts(fused)
-    for i, sub in enumerate(subs):
+    for i in range(len(batch)):
+        sub = batch.sub_csr(i)
         lo, hi = int(fused.node_offsets[i]), int(fused.node_offsets[i + 1])
         if not np.array_equal(degs[lo:hi], kernels_mod.degree_vector(sub)):
             fail(f"fused_degrees slice != degree_vector on ball {i}")
@@ -1000,35 +1012,17 @@ def _kernels_fused(rng: random.Random, report: FamilyReport) -> None:
                 counts[i], kernels_mod.level_counts(solo_dist)
             ):
                 fail(f"fused_level_counts != level_counts on ball {i}")
-        if int(matching[i]) != kernels_mod.matching_cover_size(sub):
-            fail(f"batch_matching_cover_sizes != twin on ball {i}")
-        if covers[i] != kernels_mod.vertex_cover_size_csr(sub):
-            fail(f"batch_vertex_cover_sizes != twin on ball {i}")
-        if biconn[i] != kernels_mod.count_biconnected_csr(sub):
-            fail(f"batch_biconnected_counts != twin on ball {i}")
 
-    # --- batch metric entry points: one shared RNG stream -------------
-    report.checks += 1
-    stream = rng.getrandbits(32)
-    solo_rng, batch_rng = random.Random(stream), random.Random(stream)
-    want = [trees_mod.distortion_csr(sub, rng=solo_rng) for sub in subs]
-    got = trees_mod.distortion_csr_batch(fused, rng=batch_rng)
-    if [repr(v) for v in want] != [repr(v) for v in got]:
-        fail(f"distortion_csr_batch {got} != per-ball twin {want}")
-    if solo_rng.getrandbits(64) != batch_rng.getrandbits(64):
-        fail("distortion_csr_batch left the RNG stream in a different state")
-
-    report.checks += 1
-    stream = rng.getrandbits(32)
-    solo_rng, batch_rng = random.Random(stream), random.Random(stream)
-    want = [
-        flow_mod.resilience_csr(sub, rng=solo_rng, trials=3) for sub in subs
-    ]
-    got = flow_mod.resilience_csr_batch(fused, rng=batch_rng, trials=3)
-    if [repr(v) for v in want] != [repr(v) for v in got]:
-        fail(f"resilience_csr_batch {got} != per-ball twin {want}")
-    if solo_rng.getrandbits(64) != batch_rng.getrandbits(64):
-        fail("resilience_csr_batch left the RNG stream in a different state")
+    # --- batch metric kernels vs. the dict twins ----------------------
+    check_metrics(fused, "radius")
+    # Disconnected balls: resilience and distortion take the largest
+    # component, cover and biconnectivity count the whole ball.
+    check_metrics(
+        kernels_mod.FusedBatch.from_csrs(
+            [_shuffled_disconnected_ball(rng) for _ in range(rng.randint(1, 3))]
+        ),
+        "disconnected",
+    )
 
     # --- transport: shm publish/attach round-trip, refcounted unlink --
     report.checks += 1
@@ -1435,7 +1429,7 @@ def _check_shards(rng: random.Random, report: FamilyReport) -> None:
 
 #: family name -> (per-round check, rounds divisor).  The divisor thins
 #: expensive families: engine-equivalence spins up a process pool per
-#: round, so it runs ceil(rounds / divisor) times.
+#: round, so it runs max(1, rounds // divisor) times.
 _FAMILIES: Dict[str, tuple] = {
     "oracle-diff": (_check_oracle_diff, 1),
     "networkx-diff": (_check_networkx_diff, 1),
@@ -1461,7 +1455,10 @@ def run_selfcheck(
     Each family draws its inputs from an independent RNG stream derived
     from ``seed``, so adding a family never perturbs another's inputs
     and any failure is reproducible from ``(seed, rounds)`` alone.
+    Raises :class:`ValueError` for ``rounds < 1`` or an unknown family.
     """
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     out = out or (lambda line: print(line))
     selected = families or list(_FAMILIES)
     unknown = set(selected) - set(_FAMILIES)

@@ -377,3 +377,13 @@ def test_keyboard_interrupt_exits_130(tmp_path, capsys, monkeypatch):
     assert cli.main(["info", "whatever"]) == 130
     err = capsys.readouterr().err
     assert err == "interrupted\n"
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_selfcheck_rounds_below_one_exits_2(capsys, rounds):
+    code = main(["selfcheck", "--rounds", rounds, "--family", "kernels"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "rounds" in captured.err
+    assert captured.out == ""  # no family ran

@@ -4,15 +4,17 @@
 through ``FusedBatch.from_csrs``, already-built ball CSRs such as the
 engine's policy balls) into one disjoint-union CSR so the segmented kernels can sweep every ball in
 a single pass.  The contract is *bitwise*: slicing any fused result back
-per ball must reproduce the per-ball ``sub_csr`` loop byte for byte —
-same integers, same final floats, same RNG draws in the same order.
+per ball must reproduce the per-ball single-graph kernels, and each ball
+metric must equal its dict twin on the thawed ball — same integers,
+same final floats, same RNG draws in the same order.
 
 This suite pins the degenerate shapes (empty batches, empty member
 lists, singleton balls, the whole graph as one ball, int32-boundary
-offsets) and then lets Hypothesis draw arbitrary graphs and arbitrary
-ball chunkings, checking every segmented kernel and both batch metric
-entry points — plus the production engine against the dict-of-sets
-``OracleEngine`` across all seven metric series.
+offsets) and then lets Hypothesis draw arbitrary graphs, arbitrary ball
+chunkings and disconnected prebuilt balls, checking every segmented
+kernel and all four batch metric kernels — plus the production engine
+against the dict-of-sets ``OracleEngine`` across all seven metric
+series.
 """
 
 import random
@@ -23,7 +25,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import MetricEngine, MetricRequest
 from repro.graph import kernels
+from repro.graph.components import count_biconnected_components
 from repro.graph.core import Graph
+from repro.graph.cover import matching_vertex_cover, vertex_cover_size
 from repro.graph.kernels import (
     BallBatch,
     FusedBatch,
@@ -35,10 +39,17 @@ from repro.graph.kernels import (
     fused_degrees,
     fused_level_counts,
 )
-from repro.graph.kernels_flow import resilience_csr, resilience_csr_batch
-from repro.graph.kernels_trees import distortion_csr, distortion_csr_batch
+from repro.graph.kernels_flow import resilience_csr_batch
+from repro.graph.kernels_trees import distortion_csr_batch
+from repro.graph.traversal import largest_connected_component
+from repro.metrics.distortion import distortion_of
+from repro.metrics.resilience import resilience_of
 from repro.testing import OracleEngine
-from repro.testing.strategies import connected_graphs, graphs
+from repro.testing.strategies import (
+    connected_graphs,
+    disconnected_graphs,
+    graphs,
+)
 
 ALL_SERIES = (
     "expansion",
@@ -65,8 +76,10 @@ def fuse(csr, members_list):
 
 
 def assert_fused_matches_per_ball(batch, fused, seed: int) -> None:
-    """Every segmented kernel and batch metric == the per-ball loop."""
+    """Every segmented kernel == the per-ball loop, and every batch
+    metric == its dict twin on the thawed ball, sharing one RNG stream."""
     subs = [batch.sub_csr(i) for i in range(len(batch))]
+    thawed = [sub.thaw() for sub in subs]
 
     degs = fused_degrees(fused)
     sources = np.array(
@@ -91,12 +104,13 @@ def assert_fused_matches_per_ball(batch, fused, seed: int) -> None:
             solo = kernels.bfs_levels(sub, 0)
             assert np.array_equal(dist[sl], solo)
             assert np.array_equal(counts[i], kernels.level_counts(solo))
-        assert int(matching[i]) == kernels.matching_cover_size(sub)
-        assert covers[i] == kernels.vertex_cover_size_csr(sub)
-        assert biconn[i] == kernels.count_biconnected_csr(sub)
+        ball = thawed[i]
+        assert int(matching[i]) == len(matching_vertex_cover(ball))
+        assert covers[i] == vertex_cover_size(ball)
+        assert biconn[i] == count_biconnected_components(ball)
 
     solo_rng, batch_rng = random.Random(seed), random.Random(seed)
-    want = [distortion_csr(sub, rng=solo_rng) for sub in subs]
+    want = [distortion_of(ball, rng=solo_rng) for ball in thawed]
     got = distortion_csr_batch(fused, rng=batch_rng)
     assert [repr(v) for v in want] == [repr(v) for v in got]
     assert solo_rng.getrandbits(64) == batch_rng.getrandbits(64)
@@ -104,7 +118,7 @@ def assert_fused_matches_per_ball(batch, fused, seed: int) -> None:
     solo_rng, batch_rng = random.Random(seed ^ 0x5DEECE), random.Random(
         seed ^ 0x5DEECE
     )
-    want = [resilience_csr(sub, rng=solo_rng, trials=3) for sub in subs]
+    want = [resilience_of(ball, rng=solo_rng, trials=3) for ball in thawed]
     got = resilience_csr_batch(fused, rng=batch_rng, trials=3)
     assert [repr(v) for v in want] == [repr(v) for v in got]
     assert solo_rng.getrandbits(64) == batch_rng.getrandbits(64)
@@ -263,10 +277,20 @@ def test_sub_csr_thaw_equals_whole_graph_thaw_subgraph(drawn):
 def prebuilt_balls(draw):
     """Up to four graphs, each frozen in its own shuffled node order —
     balls the way the engine builds policy balls, not sliced in
-    ascending index from one parent graph."""
+    ascending index from one parent graph.  Many are disconnected, so
+    components are not index ranges; some get an extra path as large as
+    their largest component, a tie the lowest first index must break
+    as the dict twins break it."""
     balls = []
     for _ in range(draw(st.integers(0, 4))):
-        base = draw(graphs(min_nodes=1, max_nodes=12))
+        base = draw(
+            st.one_of(graphs(min_nodes=1, max_nodes=12), disconnected_graphs())
+        )
+        if draw(st.booleans()):
+            size = largest_connected_component(base).number_of_nodes()
+            tail = base.number_of_nodes()
+            base.add_node(tail)
+            base.add_edges_from((tail + i, tail + i + 1) for i in range(size - 1))
         order = draw(st.permutations(base.nodes()))
         g = Graph(name="prebuilt")
         g.add_nodes_from(order)

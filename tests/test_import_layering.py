@@ -13,7 +13,10 @@ module-level and deferred (inside functions) alike — is read with
   (``repro.graph.partition``, ``repro.graph.cover``,
   ``repro.graph.components``) — those run only as test oracles;
 * the CSR kernels (``repro.graph.kernels*``) do not import
-  ``repro.metrics``: the graph layer sits below the metrics.
+  ``repro.metrics`` — the graph layer sits below the metrics — nor the
+  dict partitioner, covers and biconnectivity they are checked against
+  (``repro.graph.partition``, ``repro.graph.cover``,
+  ``repro.graph.components``): a kernel shares no code with its oracle.
 """
 
 import ast
@@ -26,13 +29,19 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 #: Modules allowed to import ``repro.testing`` from outside it.
 TESTING_IMPORTERS = {"repro.cli"}
 
-ENGINE_FORBIDDEN = (
-    "repro.metrics.resilience",
-    "repro.metrics.distortion",
+#: The dict twins of the four kernel metrics' graph algorithms.
+DICT_GRAPH_TWINS = (
     "repro.graph.partition",
     "repro.graph.cover",
     "repro.graph.components",
 )
+
+ENGINE_FORBIDDEN = (
+    "repro.metrics.resilience",
+    "repro.metrics.distortion",
+) + DICT_GRAPH_TWINS
+
+KERNELS_FORBIDDEN = ("repro.metrics",) + DICT_GRAPH_TWINS
 
 
 def module_name(path: pathlib.Path, root: pathlib.Path) -> str:
@@ -89,10 +98,10 @@ def violations(root: pathlib.Path = SRC):
                 within(target, forbidden) for forbidden in ENGINE_FORBIDDEN
             ):
                 found.append(f"{name} imports {target} (a dict twin)")
-            if name.startswith("repro.graph.kernels") and within(
-                target, "repro.metrics"
+            if name.startswith("repro.graph.kernels") and any(
+                within(target, forbidden) for forbidden in KERNELS_FORBIDDEN
             ):
-                found.append(f"{name} imports {target} (the metrics layer)")
+                found.append(f"{name} imports {target} (a layer above or a twin)")
     return found
 
 
@@ -121,7 +130,9 @@ def test_guard_sees_every_module_and_deferred_imports():
         ("from repro.metrics.resilience import resilience_of\n",
          "repro.engine.requests", "a dict twin"),
         ("def f():\n    from repro.metrics import distortion\n",
-         "repro.graph.kernels_trees", "the metrics layer"),
+         "repro.graph.kernels_trees", "a layer above or a twin"),
+        ("from repro.graph.partition import balance_bound\n",
+         "repro.graph.kernels_flow", "a layer above or a twin"),
         ("from ..testing import oracles\n",
          "repro.harness.report", "an oracle"),
     ],

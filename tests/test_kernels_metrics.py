@@ -4,7 +4,9 @@ The kernels in :mod:`repro.graph.kernels_flow` /
 :mod:`repro.graph.kernels_trees` / :mod:`repro.graph.kernels` are not
 approximations: each one re-expresses the *same* canonical algorithm as
 its pure-Python twin over flat arrays, so its output must be **bitwise**
-identical — same integers, same final floats, same RNG draws.  This
+identical — same integers, same final floats, same RNG draws.  The ball
+metrics have one kernel each, the fused batch kernel, so a single graph
+is scored as a one-ball :class:`~repro.graph.kernels.FusedBatch`.  This
 suite enforces that contract three ways:
 
 * per-kernel differential tests against the dict twins on
@@ -28,12 +30,17 @@ from repro.graph.components import count_biconnected_components
 from repro.graph.core import Graph
 from repro.graph.cover import vertex_cover_size
 from repro.graph.flow import Dinic
+from repro.graph.kernels import (
+    FusedBatch,
+    batch_biconnected_counts,
+    batch_vertex_cover_sizes,
+)
 from repro.graph.kernels_flow import (
     bisection_cut_csr,
     max_flow_min_cut,
-    resilience_csr,
+    resilience_csr_batch,
 )
-from repro.graph.kernels_trees import distortion_csr
+from repro.graph.kernels_trees import distortion_csr_batch
 from repro.graph.partition import bisection_cut_size
 from repro.graph.traversal import largest_connected_component
 from repro.metrics.distortion import distortion_of
@@ -52,6 +59,11 @@ from repro.testing.strategies import (
 ALL_SHAPES = st.one_of(
     trees(), connected_graphs(), disconnected_graphs(), bridge_graphs(), graphs()
 )
+
+
+def one_ball(g):
+    """``g`` as a one-ball fused batch."""
+    return FusedBatch.from_csrs([g.freeze()])
 
 
 # ----------------------------------------------------------------------
@@ -132,9 +144,11 @@ def test_negative_capacity_is_rejected():
 
 @given(ALL_SHAPES, st.integers(min_value=0, max_value=2**32 - 1))
 def test_resilience_kernel_bitwise(g, seed):
-    got = resilience_csr(g.freeze(), rng=random.Random(seed), trials=3)
-    want = resilience_of(g, rng=random.Random(seed), trials=3)
-    assert got == want
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    [got] = resilience_csr_batch(one_ball(g), rng=got_rng, trials=3)
+    want = resilience_of(g, rng=want_rng, trials=3)
+    assert repr(got) == repr(want)
+    assert got_rng.getstate() == want_rng.getstate()
 
 
 @given(connected_graphs(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -146,9 +160,11 @@ def test_bisection_kernel_bitwise(g, seed):
 
 @given(ALL_SHAPES, st.integers(min_value=0, max_value=2**32 - 1))
 def test_distortion_kernel_bitwise(g, seed):
-    got = distortion_csr(g.freeze(), rng=random.Random(seed))
-    want = distortion_of(g, rng=random.Random(seed))
-    assert got == want
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    [got] = distortion_csr_batch(one_ball(g), rng=got_rng)
+    want = distortion_of(g, rng=want_rng)
+    assert repr(got) == repr(want)
+    assert got_rng.getstate() == want_rng.getstate()
 
 
 def two_part_graph(path_nodes, clique_nodes):
@@ -184,10 +200,12 @@ def test_largest_component_slice_matches_dict_twin(path_nodes, clique_nodes, win
     assert component.nodes() == largest_connected_component(g).nodes()
     assert component.edges() == largest_connected_component(g).freeze().edges()
     for seed in range(4):
-        got_r = resilience_csr(g.freeze(), rng=random.Random(seed), trials=3)
+        [got_r] = resilience_csr_batch(
+            one_ball(g), rng=random.Random(seed), trials=3
+        )
         want_r = resilience_of(g, rng=random.Random(seed), trials=3)
         assert repr(got_r) == repr(want_r)
-        got_d = distortion_csr(g.freeze(), rng=random.Random(seed))
+        [got_d] = distortion_csr_batch(one_ball(g), rng=random.Random(seed))
         want_d = distortion_of(g, rng=random.Random(seed))
         assert repr(got_d) == repr(want_d)
     # The slice picked the right component: a path cuts at 1 and is its
@@ -209,25 +227,25 @@ def test_largest_component_of_connected_graph_is_the_graph():
 @given(trees(), st.integers(min_value=0, max_value=2**32 - 1))
 def test_distortion_kernel_exact_on_trees(g, seed):
     # A tree's only spanning tree is itself: distortion is exactly 1.
-    assert distortion_csr(g.freeze(), rng=random.Random(seed)) == 1.0
+    assert distortion_csr_batch(one_ball(g), rng=random.Random(seed)) == [1.0]
 
 
 @given(ALL_SHAPES)
 def test_vertex_cover_kernel_bitwise(g):
-    assert kernels.vertex_cover_size_csr(g.freeze()) == vertex_cover_size(g)
+    assert batch_vertex_cover_sizes(one_ball(g)) == [vertex_cover_size(g)]
 
 
 @given(ALL_SHAPES)
 def test_biconnectivity_kernel_bitwise(g):
-    assert kernels.count_biconnected_csr(g.freeze()) == count_biconnected_components(
-        g
-    )
+    assert batch_biconnected_counts(one_ball(g)) == [
+        count_biconnected_components(g)
+    ]
 
 
 @given(graphs(min_nodes=2, max_nodes=9))
 def test_vertex_cover_kernel_within_oracle_bounds(g):
     exact = oracles.oracle_min_vertex_cover_size(g)
-    got = kernels.vertex_cover_size_csr(g.freeze())
+    [got] = batch_vertex_cover_sizes(one_ball(g))
     assert exact <= got <= 2 * exact
 
 
@@ -282,26 +300,28 @@ def test_ballbatch_grouping_invariance(g, seed, split_sizes):
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_ballbatch_kernel_values_grouping_invariant(g, seed):
-    """Per-ball kernel *values* are identical whether the ball came from
-    a shared batch or a singleton batch — the engine may batch balls
-    however it likes without perturbing a single float."""
+    """Per-ball kernel *values* and RNG draws are identical whether the
+    balls share one fused batch or each rides a one-ball batch — the
+    engine may batch balls however it likes without perturbing a
+    single float."""
     rng = random.Random(seed)
     csr = g.freeze()
     balls = _ball_list(csr, rng)
-    batch = kernels.BallBatch(csr, balls)
-    for i in range(len(balls)):
-        shared = batch.sub_csr(i)
-        single = kernels.BallBatch(csr, [balls[i]]).sub_csr(0)
-        stream = rng.getrandbits(32)
-        assert resilience_csr(
-            shared, rng=random.Random(stream), trials=3
-        ) == resilience_csr(single, rng=random.Random(stream), trials=3)
-        assert distortion_csr(
-            shared, rng=random.Random(stream)
-        ) == distortion_csr(single, rng=random.Random(stream))
-        assert kernels.vertex_cover_size_csr(shared) == kernels.vertex_cover_size_csr(
-            single
-        )
-        assert kernels.count_biconnected_csr(shared) == kernels.count_biconnected_csr(
-            single
-        )
+    shared = FusedBatch(kernels.BallBatch(csr, balls))
+    singles = [FusedBatch(kernels.BallBatch(csr, [ball])) for ball in balls]
+    stream = rng.getrandbits(32)
+    for kernel, kwargs in (
+        (resilience_csr_batch, {"trials": 3}),
+        (distortion_csr_batch, {}),
+    ):
+        shared_rng, single_rng = random.Random(stream), random.Random(stream)
+        got = kernel(shared, rng=shared_rng, **kwargs)
+        want = [kernel(one, rng=single_rng, **kwargs)[0] for one in singles]
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+        assert shared_rng.getstate() == single_rng.getstate()
+    assert batch_vertex_cover_sizes(shared) == [
+        batch_vertex_cover_sizes(one)[0] for one in singles
+    ]
+    assert batch_biconnected_counts(shared) == [
+        batch_biconnected_counts(one)[0] for one in singles
+    ]

@@ -257,16 +257,16 @@ def test_selfcheck_catches_link_weight_off_by_one(monkeypatch):
 
 
 def test_selfcheck_catches_kernel_tree_distance_off_by_one(monkeypatch):
-    """Tree sub-stream: a planted +1 in the vectorized tree-distance
-    accumulator desyncs ``distortion_csr`` from ``distortion_of``."""
+    """Tree sub-stream: a planted +1 in the fused tree-distance
+    accumulator desyncs ``distortion_csr_batch`` from ``distortion_of``."""
     from repro.graph import kernels_trees
 
-    real = kernels_trees.tree_edge_distance_total
+    real = kernels_trees._fused_tree_totals
 
     def off_by_one(*args, **kwargs):
         return real(*args, **kwargs) + 1
 
-    monkeypatch.setattr(kernels_trees, "tree_edge_distance_total", off_by_one)
+    monkeypatch.setattr(kernels_trees, "_fused_tree_totals", off_by_one)
     report = run_selfcheck(
         rounds=5, seed=0, families=["kernels"], out=lambda _: None
     )
@@ -276,16 +276,16 @@ def test_selfcheck_catches_kernel_tree_distance_off_by_one(monkeypatch):
 
 
 def test_selfcheck_catches_kernel_biconn_off_by_one(monkeypatch):
-    """Biconn sub-stream: the array-stack Tarjan count drifting by one
-    block must flip the family red."""
+    """Biconn sub-stream: the fused array-stack Tarjan count drifting by
+    one block must flip the family red."""
     from repro.graph import kernels
 
-    real = kernels.count_biconnected_csr
+    real = kernels.batch_biconnected_counts
 
-    def off_by_one(csr):
-        return real(csr) + 1
+    def off_by_one(fused):
+        return [count + 1 for count in real(fused)]
 
-    monkeypatch.setattr(kernels, "count_biconnected_csr", off_by_one)
+    monkeypatch.setattr(kernels, "batch_biconnected_counts", off_by_one)
     report = run_selfcheck(
         rounds=5, seed=0, families=["kernels"], out=lambda _: None
     )
@@ -300,12 +300,12 @@ def test_selfcheck_catches_kernel_cover_off_by_one(monkeypatch):
     dict heuristic."""
     from repro.graph import kernels
 
-    real = kernels.greedy_cover_size
+    real = kernels._greedy_cover_arrays
 
-    def off_by_one(csr):
-        return real(csr) + 1
+    def off_by_one(indptr, indices):
+        return real(indptr, indices) + 1
 
-    monkeypatch.setattr(kernels, "greedy_cover_size", off_by_one)
+    monkeypatch.setattr(kernels, "_greedy_cover_arrays", off_by_one)
     report = run_selfcheck(
         rounds=8, seed=0, families=["kernels"], out=lambda _: None
     )
