@@ -57,7 +57,7 @@ import os
 import random
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 try:  # pragma: no cover - posix-only; eviction degrades gracefully
     import fcntl
@@ -65,7 +65,7 @@ except ImportError:  # pragma: no cover
     fcntl = None
 
 from repro.graph.core import Graph
-from repro.graph.csr import CSR_LAYOUT_VERSION
+from repro.graph.csr import CSR_LAYOUT_VERSION, CSRGraph
 
 # Bump when the engine's numeric behaviour changes, so old entries miss.
 # v2: entries carry a content checksum (self-healing cache).
@@ -105,7 +105,7 @@ def _series_checksum(series) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def graph_fingerprint(graph: Graph) -> str:
+def graph_fingerprint(graph: Union[Graph, CSRGraph]) -> str:
     """Content hash of a graph: its node set and edge set.
 
     Node identity is taken from ``repr`` so any hashable label works;
@@ -113,7 +113,22 @@ def graph_fingerprint(graph: Graph) -> str:
     graphs with the same structure always hash alike regardless of
     construction order.  Accepts either representation — a graph and
     its frozen :class:`~repro.graph.csr.CSRGraph` fingerprint alike.
+
+    A frozen graph is immutable, so its digest is computed once and
+    kept on the object (never pickled); later calls — every daemon
+    request and engine pass about an already-loaded graph — are free.
+    A mutable :class:`Graph` is hashed afresh on every call.
     """
+    if not isinstance(graph, CSRGraph):
+        return _content_digest(graph)
+    digest = graph._fingerprint
+    if digest is None:
+        digest = graph._fingerprint = _content_digest(graph)
+    return digest
+
+
+def _content_digest(graph: Union[Graph, CSRGraph]) -> str:
+    """The uncached hash behind :func:`graph_fingerprint`."""
     digest = hashlib.sha256()
     for label in sorted(repr(node) for node in graph.nodes()):
         digest.update(label.encode("utf-8"))

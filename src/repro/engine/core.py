@@ -480,9 +480,15 @@ class MetricEngine:
             )
         resolved = [self._resolve(graph, req) for req in reqs]
         ctx = _ComputeContext(csr_from_graph(graph))
+        # One content hash keys both the series cache and the journal;
+        # a frozen graph remembers it, so a repeat pass does not rehash.
+        fingerprint = (
+            graph_fingerprint(ctx.csr)
+            if self.use_cache or self.journal is not None
+            else None
+        )
 
         if self.use_cache:
-            fingerprint = graph_fingerprint(graph)
             for res in resolved:
                 res.key = cache_key(fingerprint, res.request.name, res.params)
                 if res.key is None:
@@ -505,7 +511,7 @@ class MetricEngine:
         if pending:
             plans = self._build_plans(pending)
             per_plan_results, per_plan_statuses = self._execute(
-                ctx, plans, pending
+                ctx, fingerprint, plans, pending
             )
             self._merge(ctx, plans, per_plan_results, pending)
             self._attach_statuses(plans, per_plan_statuses, pending, report)
@@ -615,7 +621,11 @@ class MetricEngine:
     # Execution
     # ------------------------------------------------------------------
     def _execute(
-        self, ctx: _ComputeContext, plans: List[_Plan], pending: List[_Resolved]
+        self,
+        ctx: _ComputeContext,
+        fingerprint: Optional[str],
+        plans: List[_Plan],
+        pending: List[_Resolved],
     ):
         """Run every (plan, center) task through the :class:`Supervisor`.
 
@@ -623,7 +633,8 @@ class MetricEngine:
         ``None`` for centers a runtime policy dropped) and per-plan
         :class:`CenterStatus` lists.  Centers already in the journal are
         preloaded instead of recomputed; every freshly computed center
-        is journaled.
+        is journaled under a key built from ``fingerprint`` (the graph's
+        content hash, ``None`` when there is no journal).
         """
         tasks = [
             (pi, ci)
@@ -636,7 +647,6 @@ class MetricEngine:
         task_keys: List[Optional[str]] = [None] * len(tasks)
         preloaded: Dict[int, Any] = {}
         if self.journal is not None:
-            fingerprint = graph_fingerprint(ctx.csr)
             plan_sigs = [
                 self._plan_signature(fingerprint, plan, pending)
                 for plan in plans

@@ -28,6 +28,7 @@ Both arrays are marked read-only; mutation must go through
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +42,10 @@ Edge = Tuple[Node, Node]
 #: keys (see :mod:`repro.engine.cache`) so results computed against one
 #: layout never collide with another.
 CSR_LAYOUT_VERSION = 1
+
+#: Rows converted to Python lists at a time by :meth:`CSRGraph.iter_edges`,
+#: so streaming a huge graph's edges never holds all of them as objects.
+_EDGE_BLOCK_ROWS = 1 << 14
 
 
 class CSRGraph:
@@ -63,7 +68,7 @@ class CSRGraph:
     True
     """
 
-    __slots__ = ("indptr", "indices", "name", "_nodes", "_index")
+    __slots__ = ("indptr", "indices", "name", "_nodes", "_index", "_fingerprint")
 
     def __init__(
         self,
@@ -87,6 +92,9 @@ class CSRGraph:
         self._nodes = nodes if isinstance(nodes, range) else list(nodes)
         # node -> index dict, built on first non-integer-range lookup.
         self._index: Optional[Dict[Node, int]] = None
+        # Content hash, memoized by repro.engine.cache.graph_fingerprint;
+        # safe because the arrays and labels never change.  Not pickled.
+        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Node lookup (lazy index; O(1) arithmetic for range labels)
@@ -178,11 +186,17 @@ class CSRGraph:
 
     def iter_edges(self) -> Iterator[Edge]:
         """Iterate edges once each, endpoints in ascending index order."""
-        indptr, indices, nodes = self.indptr, self.indices, self._nodes
-        for i in range(len(nodes)):
-            for j in indices[indptr[i] : indptr[i + 1]]:
-                if j > i:
-                    yield (nodes[i], nodes[int(j)])
+        nodes = self._nodes
+        for start in range(0, len(nodes), _EDGE_BLOCK_ROWS):
+            bounds = self.indptr[start : start + _EDGE_BLOCK_ROWS + 1].tolist()
+            base = bounds[0]
+            block = self.indices[base : bounds[-1]].tolist()
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start):
+                lo, hi = lo - base, hi - base
+                # Rows are sorted, so the neighbors above i are a suffix.
+                u = nodes[i]
+                for j in block[bisect_right(block, i, lo, hi) : hi]:
+                    yield (u, nodes[j])
 
     def edges(self) -> List[Edge]:
         return list(self.iter_edges())

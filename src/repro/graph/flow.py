@@ -27,6 +27,9 @@ class Dinic:
 
     Nodes are integers ``0..n-1``; add arcs with :meth:`add_edge` and call
     :meth:`max_flow`.  Capacities may be floats (``float('inf')`` allowed).
+    ``zero`` is the empty capacity of reverse arcs and the starting flow
+    total: pass ``0`` for a network of Python integers, which then stays
+    exact at any size (no capacity ever turns float).
 
     Examples
     --------
@@ -36,8 +39,9 @@ class Dinic:
     2.0
     """
 
-    def __init__(self, num_nodes: int):
+    def __init__(self, num_nodes: int, zero: float = 0.0):
         self.n = num_nodes
+        self.zero = zero
         # Edge i stored as (to, capacity); edge i^1 is its reverse.
         self.to: List[int] = []
         self.cap: List[float] = []
@@ -52,7 +56,7 @@ class Dinic:
         self.cap.append(capacity)
         self.head[u].append(edge_id)
         self.to.append(u)
-        self.cap.append(0.0)
+        self.cap.append(self.zero)
         self.head[v].append(edge_id + 1)
         return edge_id
 
@@ -74,7 +78,7 @@ class Dinic:
 
     def _dfs_blocking(self, source: int, sink: int) -> float:
         to, cap, head, level = self.to, self.cap, self.head, self.level
-        total = 0.0
+        total = self.zero
         it = [0] * self.n  # per-node pointer into head lists
         path: List[int] = []  # edge ids along the current partial path
         u = source
@@ -120,7 +124,7 @@ class Dinic:
         """Maximum flow value from ``source`` to ``sink``."""
         if source == sink:
             raise ValueError("source and sink must differ")
-        flow = 0.0
+        flow = self.zero
         while self._bfs_levels(source, sink):
             flow += self._dfs_blocking(source, sink)
         return flow

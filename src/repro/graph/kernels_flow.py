@@ -7,11 +7,12 @@ resilience_of`.  This module re-implements the same *canonical*
 algorithm over CSR arrays and owns its tuning constants (the twin
 imports them from here):
 
-* :func:`max_flow_min_cut` — BFS-augmenting-path (Edmonds–Karp) max
-  flow over plain lists of exact Python integers, with the
-  residual-reachable source side of the min cut.  The flow value and
-  the residual-reachable set are unique — identical for *every* max
-  flow — so the kernel agrees with the twin's Dinic solver exactly.
+* :func:`max_flow_min_cut` — :class:`~repro.graph.flow.Dinic` max flow
+  over exact Python integers, with the residual-reachable source side
+  of the min cut.  The flow value and the residual-reachable set are
+  unique — identical for *every* max flow — so the kernel agrees
+  exactly with the twin's float network and with the independent
+  Edmonds–Karp oracle (:func:`repro.testing.oracles.edmonds_karp_min_cut`).
 * :func:`bisection_cut_csr` — the per-ball solver, a bitwise mirror of
   :func:`repro.graph.partition.bisection_cut_size`: same exact-regime
   Gray-code enumeration (vectorized over all masks at once), same
@@ -35,12 +36,12 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.graph.flow import Dinic
 from repro.graph.kernels import (
     UNREACHED,
     FusedBatch,
@@ -105,65 +106,22 @@ def max_flow_min_cut(
     """Max s–t flow and the canonical min-cut source side.
 
     ``arcs`` are directed ``(u, v, capacity)`` entries (the reverse
-    residual arc is created automatically with capacity 0 — the same
-    convention as :meth:`repro.graph.flow.Dinic.add_edge`).  Returns
+    residual arc is created automatically with capacity 0, as in
+    :meth:`repro.graph.flow.Dinic.add_edge`).  Returns
     ``(flow_value, reachable)`` where ``reachable[v]`` marks the nodes
     residual-reachable from ``source`` after the flow — the source side
     of the inclusion-minimal min cut, which is unique and therefore
     independent of the augmenting order and of the solver used.
 
-    Edmonds–Karp over plain lists of Python integers, so capacities of
-    any size stay exact.  The refinement networks of
-    :func:`bisection_cut_csr` have at most ``_FLOW_REGION_MAX + 2``
-    nodes, where per-call list work beats array dispatch.
+    Runs :class:`~repro.graph.flow.Dinic` (blocking flow per BFS phase)
+    on a network of Python integers, so capacities of any size stay
+    exact; a negative capacity raises ``ValueError``.
     """
-    head: List[int] = []
-    cap: List[int] = []
-    adj: List[List[int]] = [[] for _ in range(num_nodes)]
+    network = Dinic(num_nodes, zero=0)
     for u, v, c in arcs:
-        if c < 0:
-            raise ValueError(f"arc capacity {c} is negative")
-        adj[u].append(len(head))
-        head.append(v)
-        cap.append(c)
-        adj[v].append(len(head))
-        head.append(u)
-        cap.append(0)
-
-    def residual_bfs() -> List[int]:
-        pred = [-1] * num_nodes
-        pred[source] = -2
-        frontier = deque([source])
-        while frontier:
-            u = frontier.popleft()
-            for a in adj[u]:
-                v = head[a]
-                if cap[a] > 0 and pred[v] == -1:
-                    pred[v] = a
-                    frontier.append(v)
-        return pred
-
-    flow = 0
-    while True:
-        pred = residual_bfs()
-        if pred[sink] == -1:
-            break
-        path: List[int] = []
-        bottleneck: Optional[int] = None
-        v = sink
-        while v != source:
-            a = pred[v]
-            path.append(a)
-            if bottleneck is None or cap[a] < bottleneck:
-                bottleneck = cap[a]
-            v = head[a ^ 1]  # the paired reverse arc points at the tail
-        assert bottleneck is not None and bottleneck > 0
-        for a in path:
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-        flow += bottleneck
-    pred = residual_bfs()
-    return flow, [p != -1 for p in pred]
+        network.add_edge(u, v, c)
+    flow = network.max_flow(source, sink)
+    return flow, network.min_cut_reachable(source)
 
 
 # ----------------------------------------------------------------------

@@ -70,9 +70,11 @@ class GraphStore:
 
     The daemon answers many requests about few graphs; loading and
     fingerprinting a large edge list per request would dwarf the metric
-    work.  An entry is invalidated when the file's (mtime_ns, size)
-    changes, so overwriting an edge list is picked up on the next
-    request.
+    work.  A graph is hashed once, when it is loaded: the digest lives on
+    the frozen graph (:func:`~repro.engine.cache.graph_fingerprint`), so
+    the scheduler's keys and the engine's cache lookups share it.  An
+    entry is invalidated when the file's (mtime_ns, size) changes, so
+    overwriting an edge list is picked up on the next request.
 
     With ``share=True`` (the daemon's default when it runs worker
     processes) the store also pins one shared-memory publication per
@@ -104,7 +106,7 @@ class GraphStore:
             if entry is not None and entry[0] == stamp:
                 self._entries.move_to_end(real)
                 self.stats["hits"] += 1
-                return entry[1], entry[2]
+                return entry[1], graph_fingerprint(entry[1])
         try:
             graph = read_edgelist(path)
             if graph.number_of_edges() == 0:
@@ -113,7 +115,7 @@ class GraphStore:
             message = str(exc) or exc.__class__.__name__
             raise ProtocolError(ERR_NOT_FOUND, f"{path}: {message}") from exc
         csr = csr_from_graph(graph)
-        fingerprint = graph_fingerprint(csr)
+        fingerprint = graph_fingerprint(csr)  # hashed here, once per load
         segment = _shm.publish(csr) if self.share else None
         if segment is not None:
             self.stats["shared"] += 1
@@ -122,13 +124,13 @@ class GraphStore:
             stale = self._entries.pop(real, None)
             if stale is not None:
                 evicted.append(stale)
-            self._entries[real] = (stamp, csr, fingerprint, segment)
+            self._entries[real] = (stamp, csr, segment)
             while len(self._entries) > self.capacity:
                 evicted.append(self._entries.popitem(last=False)[1])
             self.stats["loads"] += 1
         for entry in evicted:
-            if entry[3] is not None:
-                entry[3].release()
+            if entry[2] is not None:
+                entry[2].release()
         return csr, fingerprint
 
     def close(self) -> None:
@@ -137,8 +139,8 @@ class GraphStore:
             entries = list(self._entries.values())
             self._entries.clear()
         for entry in entries:
-            if entry[3] is not None:
-                entry[3].release()
+            if entry[2] is not None:
+                entry[2].release()
 
 
 @dataclasses.dataclass

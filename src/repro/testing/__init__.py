@@ -32,6 +32,7 @@ from repro.testing.oracles import (
     OracleEngine,
     OracleSizeError,
     count_crossing_edges,
+    edmonds_karp_min_cut,
     heuristic_balance_bound,
     oracle_balanced_bipartition_cut,
     oracle_ball_members,
@@ -59,6 +60,7 @@ __all__ = [
     "OracleEngine",
     "OracleSizeError",
     "count_crossing_edges",
+    "edmonds_karp_min_cut",
     "heuristic_balance_bound",
     "oracle_balanced_bipartition_cut",
     "oracle_ball_members",

@@ -10,6 +10,8 @@ enumeration or fixpoint iteration, no clever data structures — valid on
 graphs of up to :data:`ORACLE_MAX_NODES` nodes, so the production
 implementations can be checked differentially (see
 :mod:`repro.testing.selfcheck` and ``tests/test_property_graph.py``).
+:func:`edmonds_karp_min_cut` is a second exact max-flow solver rather
+than an enumeration, so flow networks of any size have a reference.
 
 Oracles deliberately share no code with the implementations they check.
 Two exceptions: :class:`OracleEngine`, the dict-of-sets twin of the
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.engine import METRICS, MetricEngine
@@ -149,6 +152,65 @@ def oracle_min_st_cut(
         if cut < best:
             best = cut
     return best
+
+
+def edmonds_karp_min_cut(
+    num_nodes: int, arcs: Sequence[Tuple[int, int, int]], source: int, sink: int
+) -> Tuple[int, List[bool]]:
+    """Max s–t flow and min-cut source side by Edmonds–Karp.
+
+    The independent solver that :func:`repro.graph.kernels_flow.
+    max_flow_min_cut` (Dinic) is checked against: one BFS per
+    augmenting path over plain lists of exact Python integers, no
+    level graph and no blocking flow.  Same contract — ``arcs`` are
+    directed ``(u, v, capacity)``; returns ``(flow_value, reachable)``,
+    ``reachable`` marking the residual-reachable source side, which is
+    the same for every maximum flow.
+    """
+    head: List[int] = []
+    cap: List[int] = []
+    adj: List[List[int]] = [[] for _ in range(num_nodes)]
+    for u, v, c in arcs:
+        if c < 0:
+            raise ValueError(f"arc capacity {c} is negative")
+        adj[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        adj[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+
+    def residual_bfs() -> List[int]:
+        pred = [-1] * num_nodes
+        pred[source] = -2
+        frontier = deque([source])
+        while frontier:
+            u = frontier.popleft()
+            for a in adj[u]:
+                v = head[a]
+                if cap[a] > 0 and pred[v] == -1:
+                    pred[v] = a
+                    frontier.append(v)
+        return pred
+
+    flow = 0
+    while True:
+        pred = residual_bfs()
+        if pred[sink] == -1:
+            break
+        path: List[int] = []
+        v = sink
+        while v != source:
+            a = pred[v]
+            path.append(a)
+            v = head[a ^ 1]  # the paired reverse arc points at the tail
+        bottleneck = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= bottleneck
+            cap[a ^ 1] += bottleneck
+        flow += bottleneck
+    pred = residual_bfs()
+    return flow, [p != -1 for p in pred]
 
 
 def oracle_balanced_bipartition_cut(

@@ -36,8 +36,8 @@ implementations still trustworthy?":
     sub-streams: *csr* (the frozen :class:`~repro.graph.csr.CSRGraph`:
     freeze/thaw round-trips, vectorized BFS distances, ball
     memberships, degree vectors, shortest-path counts), *flow*
-    (Edmonds–Karp max-flow/min-cut vs. Dinic, incl. capacities beyond
-    int64, plus ``bisection_cut_csr`` vs. the multilevel partitioner
+    (the Dinic ``max_flow_min_cut`` vs. the Edmonds–Karp oracle, flow
+    value and cut side, incl. capacities beyond int64, plus ``bisection_cut_csr`` vs. the multilevel partitioner
     under a shared RNG stream), ``BallBatch`` sub-CSRs vs. per-ball
     induced subgraphs, *fused* (every segmented kernel over a
     :class:`~repro.graph.kernels.FusedBatch` sliced back per ball vs.
@@ -812,7 +812,7 @@ def _kernels_metric_cores(rng: random.Random, report: FamilyReport) -> None:
     def fail(msg: str) -> None:
         report.failures.append(CheckFailure(report.family, report.checks, msg))
 
-    # --- flow: Edmonds–Karp vs. Dinic, cut certified ------------------
+    # --- flow: Dinic vs. the Edmonds–Karp oracle, cut certified -------
     report.checks += 1
     n = rng.randint(3, 7)
     arcs = []
@@ -821,11 +821,11 @@ def _kernels_metric_cores(rng: random.Random, report: FamilyReport) -> None:
             if u != v and rng.random() < 0.5:
                 arcs.append((u, v, rng.randint(0, 5)))
     flow, reachable = flow_mod.max_flow_min_cut(n, arcs, 0, n - 1)
-    dinic = Dinic(n)
-    for u, v, cap in arcs:
-        dinic.add_edge(u, v, float(cap))
-    if float(flow) != dinic.max_flow(0, n - 1):
-        fail(f"max_flow_min_cut flow {flow} != Dinic on {arcs}")
+    want_flow, want_reach = oracles.edmonds_karp_min_cut(n, arcs, 0, n - 1)
+    if flow != want_flow:
+        fail(f"max_flow_min_cut flow {flow} != Edmonds–Karp on {arcs}")
+    if reachable != want_reach:
+        fail(f"max_flow_min_cut cut side differs from Edmonds–Karp on {arcs}")
     if not reachable[0] or reachable[n - 1]:
         fail("min-cut side must contain the source and exclude the sink")
     crossing = sum(c for u, v, c in arcs if reachable[u] and not reachable[v])

@@ -115,6 +115,37 @@ def test_rewire_with_method_preserves_degree_distribution_shape():
     assert abs(rewired.average_degree() - base.average_degree()) < 1.5
 
 
+@pytest.mark.parametrize("method", ["plrg", "uniform", "proportional"])
+def test_fig13_wiring_degree_deficit_report(method):
+    """Appendix D.1's inputs: how much of the B-A degree sequence each
+    wiring method realizes.  Prints the deficit (run with ``-s``) and
+    asserts only what holds for every method: no node gets more edges
+    than it was assigned.  Uniform wiring loses the hubs (top degrees
+    41/35/33 against 111/97/63), the suspected cause of the Figure 13
+    "Uniform" rows reading high distortion."""
+    base = barabasi_albert(1600, 2, seed=3)
+    assigned = [base.degree(node) for node in base.nodes()]
+    rewired = rewire_with_method(base, method, seed=4)
+    # Rewired nodes are labelled by position in the base graph's order.
+    realized = [
+        rewired.degree(i) if i in rewired else 0 for i in range(len(assigned))
+    ]
+    hubs = sorted(range(len(assigned)), key=lambda i: -assigned[i])[:10]
+    top_assigned = [assigned[i] for i in hubs]
+    top_realized = sorted(realized, reverse=True)[:10]
+    print(
+        f"\n{method}: edges {rewired.number_of_edges()} of "
+        f"{sum(assigned) // 2} assigned, nodes {rewired.number_of_nodes()} "
+        f"of {len(assigned)}, degree deficit {sum(assigned) - sum(realized)} "
+        f"(top-10 hubs {sum(top_assigned) - sum(realized[i] for i in hubs)})"
+        f"\n  top degrees assigned {top_assigned}\n  top degrees realized "
+        f"{top_realized}"
+    )
+    assert rewired.number_of_edges() <= sum(assigned) // 2
+    assert all(r <= a for r, a in zip(realized, assigned))
+    assert all(r <= a for r, a in zip(top_realized, top_assigned))
+
+
 def test_rewire_unknown_method():
     g = barabasi_albert(50, 2, seed=9)
     with pytest.raises(ValueError):

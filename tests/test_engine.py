@@ -7,6 +7,7 @@ the on-disk cache, and identical to the legacy per-metric functions.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -484,6 +485,75 @@ def test_fingerprint_independent_of_construction_order():
     assert graph_fingerprint(a) == graph_fingerprint(b)
     c = Graph([(0, 1), (1, 2)])
     assert graph_fingerprint(a) != graph_fingerprint(c)
+
+
+# Digests computed before the frozen-graph memo and the list-based
+# ``CSRGraph.iter_edges``.  Series caches, journals and sweep manifests
+# on disk are keyed by them, so they must never drift.
+PINNED_FINGERPRINTS = {
+    "dict": "1da068532db57b93578f21a4687539e9e9225036913a272f608db432d4dfce0a",
+    "strings": "4530eb70d85029f78b1144d5da990daa8dbc183242940366a672fec08b6b78f5",
+    "isolated": "cff0b710f950f8791bcb1694cc1c6fa23478cb13ea0d33dbcaf07eccdadd1775",
+    "plrg": "df158e7b1937dcbfb3f8b7447a1d725adeffa57667b8b2ce231f25c7df2f3487",
+}
+
+
+def test_fingerprint_digests_are_pinned():
+    g = Graph([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+    frozen = g.freeze()
+    ranged = CSRGraph(frozen.indptr, frozen.indices, range(5))
+    assert isinstance(ranged.node_list(), range)
+    for form in (g, frozen, ranged):
+        assert graph_fingerprint(form) == PINNED_FINGERPRINTS["dict"]
+    strings = Graph([("b", "a"), ("a", "c"), ("c", "d"), ("d", "b")]).freeze()
+    assert graph_fingerprint(strings) == PINNED_FINGERPRINTS["strings"]
+    isolated = Graph([(0, 1), (1, 2)])
+    isolated.add_node(7)
+    for form in (isolated, isolated.freeze()):
+        assert graph_fingerprint(form) == PINNED_FINGERPRINTS["isolated"]
+    big = plrg(300, 2.246, seed=5)
+    for form in (big, big.freeze()):
+        assert graph_fingerprint(form) == PINNED_FINGERPRINTS["plrg"]
+
+
+def count_digests(monkeypatch):
+    """The graphs the uncached hash runs on, in call order."""
+    from repro.engine import cache as cache_mod
+
+    real = cache_mod._content_digest
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(cache_mod, "_content_digest", counting)
+    return calls
+
+
+def test_fingerprint_memo_on_frozen_graphs_only(monkeypatch):
+    calls = count_digests(monkeypatch)
+    g = kary_tree(2, 4)
+    frozen = g.freeze()
+    assert graph_fingerprint(frozen) == graph_fingerprint(frozen)
+    assert calls == [frozen]
+    # A dict Graph is mutable: every call hashes it afresh.
+    assert graph_fingerprint(g) == graph_fingerprint(g) == graph_fingerprint(frozen)
+    assert calls == [frozen, g, g]
+    # The memo is never pickled: workers and pickles see the graph only.
+    fresh = g.freeze()
+    assert pickle.dumps(frozen) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(frozen))._fingerprint is None
+
+
+def test_engine_hashes_once_for_cache_and_journal(tmp_path, monkeypatch):
+    calls = count_digests(monkeypatch)
+    engine = MetricEngine(
+        cache_dir=str(tmp_path / "cache"), journal=str(tmp_path / "j.jsonl")
+    )
+    g = kary_tree(2, 4)
+    engine.compute(g, [MetricRequest("expansion", num_centers=2, seed=1)])
+    assert len(calls) == 1 and isinstance(calls[0], CSRGraph)
 
 
 def test_cache_key_covers_params_and_seed():

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.graph import csr as csr_module
 from repro.graph import kernels
 from repro.graph.core import Graph
 from repro.graph.csr import CSR_LAYOUT_VERSION, CSRGraph, csr_from_graph
@@ -144,6 +145,29 @@ def test_csr_graph_compatible_read_api():
         map(frozenset, g.iter_edges())
     )
     assert csr.neighbors(2) == sorted(g.neighbors(2))
+
+
+@given(graphs(min_nodes=0, max_nodes=14), st.sampled_from([1, 3, 1 << 14]))
+def test_iter_edges_walks_rows_in_index_order(g, block_rows):
+    """Each edge once, as ``(node_at(i), node_at(j))`` with ``i < j``, in
+    row order — also when the rows are converted a few at a time."""
+    csr = g.freeze()
+    indptr, indices = csr.indptr, csr.indices
+    want = [
+        (csr.node_at(i), csr.node_at(int(j)))
+        for i in range(len(csr))
+        for j in indices[indptr[i] : indptr[i + 1]]
+        if j > i
+    ]
+    saved = csr_module._EDGE_BLOCK_ROWS
+    csr_module._EDGE_BLOCK_ROWS = block_rows
+    try:
+        got = list(csr.iter_edges())
+    finally:
+        csr_module._EDGE_BLOCK_ROWS = saved
+    assert got == want
+    assert all(type(u) is type(a) and type(v) is type(b)
+               for (u, v), (a, b) in zip(got, want))
 
 
 def test_layout_version_is_pinned():

@@ -44,6 +44,25 @@ def test_no_path_zero_flow():
     assert d.max_flow(0, 2) == 0.0
 
 
+def test_flow_keeps_the_network_number_type():
+    # A float network (the Section 5 covers) still answers 0.0, not 0,
+    # when no path exists.
+    d = Dinic(3)
+    d.add_edge(0, 1, 5.0)
+    assert d.max_flow(0, 2).hex() == (0.0).hex()
+    # An integer network never turns float, so totals past 2**53 stay
+    # exact.
+    big = 1 << 60
+    d = Dinic(3, zero=0)
+    d.add_edge(0, 1, big + 1)
+    d.add_edge(1, 2, big + 1)
+    d.add_edge(0, 2, big)
+    flow = d.max_flow(0, 2)
+    assert type(flow) is int and flow == 2 * big + 1
+    assert all(type(c) is int for c in d.cap)
+    assert type(Dinic(2, zero=0).max_flow(0, 1)) is int
+
+
 def test_infinite_middle_edge():
     d = Dinic(4)
     d.add_edge(0, 1, 4.0)

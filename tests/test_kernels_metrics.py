@@ -11,7 +11,8 @@ suite enforces that contract three ways:
 
 * per-kernel differential tests against the dict twins on
   Hypothesis-drawn graphs (trees, connected, disconnected, bridge);
-* oracle bounds: the flow kernel against both ``Dinic`` and the
+* oracle bounds: the flow kernel (Dinic on integers) against the
+  independent Edmonds–Karp solver, a float ``Dinic`` network and the
   subset-enumeration min-cut oracle, with the residual-reachable side
   required to *certify* the flow value;
 * structural properties: batching balls in arbitrary groups never
@@ -67,7 +68,7 @@ def one_ball(g):
 
 
 # ----------------------------------------------------------------------
-# Flow kernel: max_flow_min_cut vs Dinic and the subset oracle
+# Flow kernel: max_flow_min_cut vs Edmonds–Karp, Dinic and the subset oracle
 # ----------------------------------------------------------------------
 
 @st.composite
@@ -86,6 +87,8 @@ def flow_instances(draw):
 def test_max_flow_matches_dinic_and_oracle(instance):
     n, arcs = instance
     flow, reachable = max_flow_min_cut(n, arcs, 0, n - 1)
+    assert type(flow) is int
+    assert (flow, reachable) == oracles.edmonds_karp_min_cut(n, arcs, 0, n - 1)
 
     dinic = Dinic(n)
     for u, v, cap in arcs:
@@ -121,6 +124,7 @@ def test_min_cut_side_is_solver_independent(instance):
 # ----------------------------------------------------------------------
 
 def test_capacities_beyond_int64_stay_exact():
+    # A flow value past 2**53 would lose bits if any total turned float.
     big = 1 << 62
     # A single arc, and two parallel arcs whose total passes 2**63.
     assert max_flow_min_cut(2, [(0, 1, big)], 0, 1) == (big, [True, False])
@@ -136,6 +140,8 @@ def test_capacities_beyond_int64_stay_exact():
 def test_negative_capacity_is_rejected():
     with pytest.raises(ValueError):
         max_flow_min_cut(2, [(0, 1, -1)], 0, 1)
+    with pytest.raises(ValueError):
+        oracles.edmonds_karp_min_cut(2, [(0, 1, -1)], 0, 1)
 
 
 # ----------------------------------------------------------------------

@@ -213,8 +213,8 @@ def test_selfcheck_catches_kernel_cut_off_by_one(monkeypatch):
 
 
 def test_selfcheck_catches_kernel_bigint_fallback_off_by_one(monkeypatch):
-    """Flow sub-stream: a planted +1 in the big-integer Edmonds–Karp
-    solver, the only one, is caught by the capacity-scaling leg."""
+    """Flow sub-stream: a planted +1 in the big-integer flow kernel
+    (Dinic on exact integers) is caught by the capacity-scaling leg."""
     from repro.graph import kernels_flow
 
     real = kernels_flow.max_flow_min_cut

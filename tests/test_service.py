@@ -165,6 +165,40 @@ def test_scheduler_sequential_duplicate_hits_cache(tmp_path):
     assert sched.counters["series_cached"] == 1
 
 
+def test_scheduler_hashes_a_cached_graph_once(tmp_path, monkeypatch):
+    """Repeat requests about one loaded graph reuse the digest taken at
+    load time: neither the scheduler's keys nor the engine's cache
+    lookups rehash the edge list."""
+    from repro.engine import cache as cache_mod
+
+    real = cache_mod._content_digest
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(cache_mod, "_content_digest", counting)
+    graph = _write_graph(tmp_path / "g.edges")
+    sched = CoalescingScheduler(
+        max_pending=8, use_cache=True, cache_dir=str(tmp_path / "cache"),
+        graphs=GraphStore(),
+    )
+    requests = [
+        _metric_request(graph, metric, seed=seed)
+        for metric in ("expansion", "distortion")
+        for seed in (1, 2)
+    ] * 3
+    for request in requests:
+        job, _ = sched.submit(sched.prepare(request))
+        sched.run_once()
+        assert job.error is None
+    assert sched.counters["series_computed"] == 4
+    assert sched.counters["series_cached"] == len(requests) - 4
+    assert sched.graphs.stats == {"hits": len(requests) - 1, "loads": 1, "shared": 0}
+    assert len(calls) == 1
+
+
 def test_scheduler_batches_compatible_metrics_into_one_pass(tmp_path):
     graph = _write_graph(tmp_path / "g.edges")
     sched = CoalescingScheduler(

@@ -10,8 +10,10 @@ PLRG, so the two dict-evaluator series are gated too.  The CLI prints
 three significant digits, so each run also prints, at full precision
 (``repr``), all seven series of one ``MetricEngine`` pass, the six
 ball-metric series of a synthetic AS graph under policy routing
-(Appendix E's policy-induced balls), and the Section 5 link values of a
-small PLRG and of that AS graph with and without policy routing.  Any drift — RNG seeded off the clock,
+(Appendix E's policy-induced balls), the Section 5 link values of a
+small PLRG and of that AS graph with and without policy routing, and
+the PLRG's ``graph_fingerprint`` in dict and frozen form (the key of
+every cache entry and journal record).  Any drift — RNG seeded off the clock,
 dict-ordering leaks, float nondeterminism — fails the build.
 
 Usage: python tools/check_determinism.py [--workers N]
@@ -34,7 +36,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 VALUES_SCRIPT = """
 import sys
 
-from repro.engine import METRICS, MetricEngine, MetricRequest
+from repro.engine import METRICS, MetricEngine, MetricRequest, graph_fingerprint
 from repro.generators.plrg import plrg
 from repro.hierarchy import link_values
 from repro.internet import synthetic_as_graph
@@ -45,7 +47,9 @@ requests = [
     MetricRequest(name, num_centers=4, max_ball_size=200, seed=1)
     for name in METRICS
 ]
-series = engine.compute(plrg(300, 2.246, seed=5), requests)
+graph = plrg(300, 2.246, seed=5)
+print("fingerprint", graph_fingerprint(graph), graph_fingerprint(graph.freeze()))
+series = engine.compute(graph, requests)
 for name in METRICS:
     print(name, repr(series[name]))
 print("plrg", repr(sorted(link_values(plrg(150, 2.246, seed=5), seed=1).items())))
