@@ -22,9 +22,8 @@ Layout (many concurrent writers, see ``docs/SERVICE.md``):
 
 * **Sharded directories** — entries live in hash-prefix subdirectories
   (``<cache>/ab/<key>.json``) so a hot shared cache never piles tens of
-  thousands of files into one directory.  Entries written by older
-  versions into the flat root are still read, and are migrated into
-  their shard on first hit.
+  thousands of files into one directory.  This is the only layout: a
+  miss costs one ``open``.
 * **Size-bounded LRU eviction** — with ``max_entries`` and/or
   ``max_bytes`` set, the least-recently-*used* entries (hits refresh an
   entry's mtime) are deleted after each write until the bound holds.
@@ -73,8 +72,7 @@ from repro.graph.csr import CSR_LAYOUT_VERSION, CSRGraph
 #     index) member order on the thawed frozen graph, which moves the
 #     low bits of order-sensitive evaluators; v2 entries must not be
 #     served for them.  (The sharded directory layout is *not* a format
-#     change: entry payloads are unchanged and flat-root entries are
-#     still readable, so no re-keying is needed.)
+#     change: entry payloads are unchanged.)
 CACHE_VERSION = 3
 
 #: The graph-representation schema cache keys are computed against:
@@ -213,27 +211,16 @@ class SeriesCache:
     def path_for(self, key: str) -> Path:
         return self.root / shard_for(key) / f"{key}.json"
 
-    def _legacy_path_for(self, key: str) -> Path:
-        """Where a pre-sharding cache stored ``key`` (flat root)."""
-        return self.root / f"{key}.json"
-
     def _iter_entries(self) -> Iterator[Path]:
-        """Every committed entry: shard subdirectories plus any legacy
-        flat-root files.  Quarantine, tmp and lock files are skipped."""
+        """Every committed entry in the shard subdirectories.
+        Quarantine, tmp and lock files are skipped."""
         if not self.root.is_dir():
             return
         for path in sorted(self.root.iterdir()):
-            name = path.name
-            if name.startswith(".") or name == QUARANTINE_DIR:
-                continue
-            if path.is_dir():
-                if len(name) == SHARD_WIDTH:
-                    for entry in sorted(path.glob("*.json")):
-                        if not entry.name.startswith("."):
-                            yield entry
-                continue
-            if name.endswith(".json"):
-                yield path
+            if len(path.name) == SHARD_WIDTH and path.is_dir():
+                for entry in sorted(path.glob("*.json")):
+                    if not entry.name.startswith("."):
+                        yield entry
 
     # ------------------------------------------------------------------
     # Quarantine
@@ -283,21 +270,14 @@ class SeriesCache:
         A corrupt or checksum-mismatched entry is quarantined and
         treated as a miss (the caller recomputes and rewrites it).  A
         hit refreshes the entry's mtime, making eviction LRU rather
-        than FIFO; a hit on a legacy flat-root entry migrates it into
-        its shard.
+        than FIFO.
         """
         path = self.path_for(key)
-        legacy = False
         try:
             handle = open(path, "r", encoding="utf-8")
         except OSError:
-            path = self._legacy_path_for(key)
-            legacy = True
-            try:
-                handle = open(path, "r", encoding="utf-8")
-            except OSError:
-                self.stats["misses"] += 1
-                return None
+            self.stats["misses"] += 1
+            return None
         try:
             with handle:
                 payload = json.load(handle)
@@ -329,16 +309,6 @@ class SeriesCache:
             self._quarantine(path, "checksum mismatch")
             self.stats["misses"] += 1
             return None
-        if legacy:
-            # Migrate a pre-sharding entry into its shard; best-effort
-            # (a concurrent reader may have won the same migration).
-            sharded = self.path_for(key)
-            try:
-                sharded.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, sharded)
-                path = sharded
-            except OSError:
-                pass
         try:
             os.utime(path)  # LRU recency: a hit keeps the entry young
         except OSError:

@@ -42,18 +42,22 @@ and runs BFS through the vectorized kernels in
 compact CSR arrays instead of re-pickling the dict-of-sets graph.  Ball
 members are taken in ascending node index, so member ordering — and
 therefore every downstream float — is a pure function of graph
-content, independent of adjacency-set insertion history.  Only policy
-plans thaw the whole graph (``csr.thaw()``), to route over it.
+content, independent of adjacency-set insertion history and of label
+hashing.  No pass thaws the whole graph.
 
 Evaluation follows one rule.  Each center's radius schedule is one
-:class:`~repro.graph.kernels.FusedBatch`: plain balls are sliced from
-the frozen graph (``BallBatch``), policy balls are built from the
-policy DAG and frozen in their own node order
-(``FusedBatch.from_csrs``).  A metric with a ``batch_evaluator`` runs it
-once per center over that batch; a metric without one (clustering, path
-length) runs its dict ``evaluator`` on each ball's sub-CSR, thawed
-(``FusedBatch.sub_csr(i).thaw()``, for a plain ball the same nodes and
-adjacency sets as ``csr.thaw().subgraph(members)``).  The dict-only
+:class:`~repro.graph.kernels.FusedBatch` of one ``BallBatch`` sliced
+from the frozen graph.  A policy plan (``rels`` given) builds the
+valley-free product once per process
+(:class:`~repro.routing.policy.PolicyProduct`); one BFS over it per
+center gives the policy distances and every arc's ball radius, and a
+policy ball keeps only the arcs its radius reaches
+(``BallBatch(..., arc_radius=...)``).  A metric with a
+``batch_evaluator`` runs it once per center over that batch; a metric
+without one (clustering, path length) runs its dict ``evaluator`` on
+each ball's sub-CSR, thawed (``FusedBatch.sub_csr(i).thaw()``, for a
+plain ball the same nodes and adjacency sets as
+``csr.thaw().subgraph(members)``).  The dict-only
 engine that the batch kernels are tested bitwise-equal against is
 :class:`repro.testing.OracleEngine`, with the dict twins in its
 evaluator table; it replaces the per-center function
@@ -76,10 +80,8 @@ from repro.generators.base import make_rng
 from repro.graph import kernels
 from repro.graph.core import Graph
 from repro.graph.csr import CSRGraph, csr_from_graph
-# _policy_ball_from_dag is the canonical Appendix E ball constructor; the
-# engine reuses it so policy balls stay identical to the legacy path.
-from repro.metrics.balls import _policy_ball_from_dag, sample_centers
-from repro.routing.policy import policy_dag
+from repro.metrics.balls import sample_centers
+from repro.routing.policy import PolicyProduct
 from repro.runtime import faults as _faults
 from repro.runtime import shm as _shm
 from repro.runtime.journal import Journal, as_journal
@@ -129,38 +131,34 @@ class _BallGroup:
 
 @dataclasses.dataclass
 class _Plan:
-    """All work sharing one (centers, relationships) pass."""
+    """All work sharing one (centers, relationships) pass.
+
+    ``product`` is the policy plan's valley-free product, built on first
+    use in each process that runs the plan's centers.
+    """
 
     centers: List[Any]
     rels: Any
     distance_rids: List[int]
     groups: List[_BallGroup]
+    product: Optional[PolicyProduct] = None
 
 
 class _ComputeContext:
-    """A frozen graph plus its lazily-thawed canonical form.
+    """The frozen graph every task of one pass reads.
 
     The context is what the supervisor hands every task (serial or in a
     pool worker) instead of the raw graph: pickling it ships only the compact
     CSR arrays — or, after :meth:`publish`, just a shared-memory
     :class:`~repro.runtime.shm.SegmentHandle` that workers attach to
-    zero-copy.  Only policy plans read :attr:`graph`; a process running
-    them thaws the canonical ``Graph`` at most once.
+    zero-copy.
     """
 
-    __slots__ = ("csr", "_graph", "_segment")
+    __slots__ = ("csr", "_segment")
 
     def __init__(self, csr: CSRGraph):
         self.csr = csr
-        self._graph: Optional[Graph] = None
         self._segment: Optional[_shm.SharedGraph] = None
-
-    @property
-    def graph(self) -> Graph:
-        """The canonical thawed graph (built on first use)."""
-        if self._graph is None:
-            self._graph = self.csr.thaw()
-        return self._graph
 
     def publish(self, transport: str = "auto") -> bool:
         """Move worker transport onto a shared-memory segment.
@@ -207,23 +205,20 @@ def _ctx_from_handle(handle: "_shm.SegmentHandle") -> _ComputeContext:
 
 
 def _center_distances(ctx: _ComputeContext, plan: _Plan, ci: int):
-    """Distance vector (and policy DAG, if any) for one center.
+    """Distance vector (and policy arc radii, if any) for one center.
 
-    Returns ``(dist, dag)``: ``dist`` is a dense int32 array over node
-    indices (``-1`` = unreached); ``dag`` is the policy DAG for policy
-    plans, else ``None``.
+    Returns ``(dist, arc_radius)``: ``dist`` is a dense int32 array over
+    node indices (``-1`` = unreached); ``arc_radius`` is every CSR
+    arc's policy ball radius for policy plans
+    (:meth:`~repro.routing.policy.PolicyProduct.ball_radii`), else
+    ``None``.
     """
-    center = plan.centers[ci]
-    csr = ctx.csr
-    if plan.rels is not None:
-        dag = policy_dag(ctx.graph, plan.rels, center)
-        dist = np.full(csr.number_of_nodes(), -1, dtype=np.int32)
-        for (node, _state), d in dag.state_dist.items():
-            i = csr.index_of(node)
-            if dist[i] < 0 or d < dist[i]:
-                dist[i] = d
-        return dist, dag
-    return kernels.bfs_levels(csr, csr.index_of(center)), None
+    source = ctx.csr.index_of(plan.centers[ci])
+    if plan.rels is None:
+        return kernels.bfs_levels(ctx.csr, source), None
+    if plan.product is None:
+        plan.product = PolicyProduct(ctx.csr, plan.rels)
+    return plan.product.ball_radii(source)
 
 
 def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
@@ -234,7 +229,7 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
     requested) and ``group_contributions[g]`` is a list of
     ``(radius, ball_size, {rid: value})`` tuples for ball group ``g``.
     """
-    dist, dag = _center_distances(ctx, plan, ci)
+    dist, arc_radius = _center_distances(ctx, plan, ci)
     per_level = kernels.level_counts(dist)
     max_radius = len(per_level) - 1
 
@@ -270,28 +265,18 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
                 schedule.append((radius, size))
 
             # Every ball, plain or policy, is one ball of the group's
-            # fused batch.  Plain balls are sliced from the frozen graph
-            # in ascending index order; a policy ball is built from the
-            # DAG and frozen in its own node order, which the kernels
-            # read just as the dict twins do (they depend only on node
-            # order and the edge set).
+            # fused batch, sliced from the frozen graph with its members
+            # in ascending index order.  A policy ball keeps only the
+            # arcs its radius reaches.
             fused = None
-            if dag is None and schedule:
+            if schedule:
+                radii = [radius for radius, _size in schedule]
                 fused = kernels.FusedBatch(
                     kernels.BallBatch(
                         ctx.csr,
-                        [
-                            kernels.ball_members(dist, radius)
-                            for radius, _size in schedule
-                        ],
+                        [kernels.ball_members(dist, radius) for radius in radii],
+                        arc_radius=None if arc_radius is None else (arc_radius, radii),
                     )
-                )
-            elif schedule:
-                fused = kernels.FusedBatch.from_csrs(
-                    [
-                        csr_from_graph(_policy_ball_from_dag(dag, radius))
-                        for radius, _size in schedule
-                    ]
                 )
             # The one evaluator rule.  A metric with a batch evaluator
             # runs once over the fused schedule, before the per-radius

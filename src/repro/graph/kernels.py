@@ -31,7 +31,7 @@ ascending node index.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,24 +54,30 @@ class PathCountOverflow(OverflowError):
     """
 
 
-def _gather_rows(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
-    """Concatenated neighbor indices of every frontier node.
+def _row_positions(indptr: np.ndarray, frontier: np.ndarray):
+    """Where every frontier node's CSR row sits in ``indices``.
 
     ``indptr`` must already be int64 (hoisted out of the BFS loop by the
-    callers).  Returns ``(neighbors, counts)`` where ``neighbors`` is
-    the concatenation of each frontier node's CSR row and ``counts[k]``
-    is the row length of ``frontier[k]``.
+    callers).  Returns ``(positions, counts)`` where ``positions`` is
+    the concatenation of each frontier node's arc positions and
+    ``counts[k]`` is the row length of ``frontier[k]``.
     """
     starts = indptr[frontier]
     counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int32), counts
     # Each element's position in ``indices``: a running arange, shifted
     # per row from the concatenation offset to the row start.
     ends = np.cumsum(counts)
-    positions = np.arange(total, dtype=np.int64)
+    positions = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
     positions += np.repeat(starts - ends + counts, counts)
+    return positions, counts
+
+
+def _gather_rows(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
+    """Concatenated neighbor indices of every frontier node, with the
+    row lengths (see :func:`_row_positions`)."""
+    positions, counts = _row_positions(indptr, frontier)
+    if not positions.size:
+        return np.empty(0, dtype=np.int32), counts
     return indices[positions], counts
 
 
@@ -344,6 +350,11 @@ class BallBatch:
     (same ``indptr``/``indices`` arrays, same node list) to
     ``induced_subgraph(csr, members_list[i])``, for any grouping of
     balls into batches.
+
+    ``arc_radius``, a pair ``(radius of every CSR arc, radius of every
+    ball)``, slices Appendix E's policy balls instead: a ball keeps
+    only the arcs between its members whose radius is at most its own
+    (:meth:`repro.routing.policy.PolicyProduct.ball_radii`).
     """
 
     __slots__ = ("csr", "_members", "_indptrs", "_indices")
@@ -353,6 +364,8 @@ class BallBatch:
         csr: CSRGraph,
         members_list: Sequence[np.ndarray],
         chunk_elements: int = 1 << 23,
+        *,
+        arc_radius: Optional[Tuple[np.ndarray, Sequence[int]]] = None,
     ):
         self.csr = csr
         self._members = [np.asarray(m, dtype=np.int64) for m in members_list]
@@ -365,12 +378,12 @@ class BallBatch:
         self._indices: List[np.ndarray] = []
         balls_per_chunk = max(1, chunk_elements // max(1, n))
         for lo in range(0, len(self._members), balls_per_chunk):
-            chunk = self._members[lo : lo + balls_per_chunk]
-            self._slice_chunk(chunk, n, indptr64)
+            self._slice_chunk(lo, lo + balls_per_chunk, n, indptr64, arc_radius)
 
     def _slice_chunk(
-        self, chunk: List[np.ndarray], n: int, indptr64: np.ndarray
+        self, lo: int, hi: int, n: int, indptr64: np.ndarray, arc_radius
     ) -> None:
+        chunk = self._members[lo:hi]
         sizes = np.array([m.size for m in chunk], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         if offsets[-1] == 0:
@@ -379,7 +392,8 @@ class BallBatch:
                 self._indices.append(np.empty(0, dtype=np.int32))
             return
         mcat = np.concatenate(chunk)
-        neighbors, counts = _gather_rows(indptr64, self.csr.indices, mcat)
+        positions, counts = _row_positions(indptr64, mcat)
+        neighbors = self.csr.indices[positions]
         member_ball = np.repeat(np.arange(len(chunk)), sizes)
         elem_ball = np.repeat(member_ball, counts)
         keep = np.zeros((len(chunk), n), dtype=bool)
@@ -389,6 +403,10 @@ class BallBatch:
             kept_mask = keep[elem_ball, neighbors]
         else:
             kept_mask = np.empty(0, dtype=bool)
+        if arc_radius is not None:
+            arc_limit, ball_limit = arc_radius
+            ball_limit = np.asarray(ball_limit)[lo + elem_ball]
+            kept_mask &= arc_limit[positions] <= ball_limit
         row_ids = np.repeat(np.arange(mcat.size), counts)
         kept_rows = row_ids[kept_mask]
         new_counts = np.bincount(kept_rows, minlength=mcat.size)
@@ -407,7 +425,7 @@ class BallBatch:
         return len(self._members)
 
     def sub_csr(self, i: int) -> CSRGraph:
-        """Ball ``i``'s induced subgraph, bitwise-equal to
+        """Ball ``i``'s sub-CSR; for a plain ball, bitwise-equal to
         :func:`induced_subgraph` on the same members."""
         csr = self.csr
         nodes: List = [csr.node_at(int(j)) for j in self._members[i]]
@@ -451,7 +469,7 @@ class FusedBatch:
     a :class:`BallBatch` (ascending original node index within each
     ball, the order :meth:`BallBatch.sub_csr` fixes), and
     :meth:`from_csrs` fuses balls that are already CSRs in their own
-    node order (the engine's Appendix E policy balls).  Either way
+    node order (a single graph, a component).  Either way
     every fused kernel is bitwise-comparable to a per-ball loop over
     ``sub_csr(i)`` — asserted by the ``kernels`` selfcheck family and
     ``tests/test_fused_batch.py``.

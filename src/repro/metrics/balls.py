@@ -11,7 +11,10 @@ the full induced subgraph.  *Policy-induced* balls (Appendix E) contain
 every node within policy distance h and **only the links lying on
 shortest policy-compliant paths** from the center — reproduced exactly,
 including the paper's Figure 15 worked example (see
-``tests/test_policy_balls.py``).
+``tests/test_policy_balls.py``).  Both kinds hold their members in the
+graph's node order.  The dict constructors here are the references the
+engine's array slicing (:class:`repro.graph.kernels.BallBatch` over
+:class:`repro.routing.policy.PolicyProduct` arc radii) is tested against.
 """
 
 from __future__ import annotations
@@ -75,15 +78,16 @@ def policy_ball_subgraph(
     the center node."
     """
     dag = policy_dag(graph, rels, center)
-    return _policy_ball_from_dag(dag, radius)
+    return _policy_ball_from_dag(graph, dag, radius)
 
 
-def _policy_ball_from_dag(dag: PolicyDAG, radius: int) -> Graph:
-    distances: Dict[Node, int] = {}
-    for (node, _state), d in dag.state_dist.items():
-        if node not in distances or d < distances[node]:
-            distances[node] = d
-    members = [node for node, d in distances.items() if d <= radius]
+def _policy_ball_from_dag(graph: Graph, dag: PolicyDAG, radius: int) -> Graph:
+    """The policy ball of ``radius`` read off ``graph``'s policy DAG,
+    its members in ``graph``'s node order."""
+    distances = dag.distances()
+    members = [
+        node for node in graph.nodes() if distances.get(node, radius + 1) <= radius
+    ]
     ball = Graph()
     for node in members:
         ball.add_node(node)
@@ -149,10 +153,7 @@ def ball_growing_series(
     for center in centers:
         if rels is not None:
             dag = policy_dag(canonical, rels, center)
-            distances: Dict[Node, int] = {}
-            for (node, _s), d in dag.state_dist.items():
-                if node not in distances or d < distances[node]:
-                    distances[node] = d
+            distances = dag.distances()
         else:
             dag = None
             distances = bfs_distances(canonical, center)
@@ -173,7 +174,7 @@ def ball_growing_series(
             if max_ball_size is not None and size > max_ball_size:
                 break
             if dag is not None:
-                ball = _policy_ball_from_dag(dag, radius)
+                ball = _policy_ball_from_dag(canonical, dag, radius)
             else:
                 ball = canonical.subgraph(members)
             value = metric(ball)

@@ -21,7 +21,9 @@ with a two-state automaton layered over the graph:
 Shortest policy paths are BFS over the (node, state) product graph.  The
 same DAG/path-counting machinery as plain shortest paths then yields the
 policy-constrained link traversal fractions used by the Section 5
-hierarchy analysis, and the policy-induced balls of Appendix E.
+hierarchy analysis, and the policy-induced balls of Appendix E.  The
+engine builds the same product once on arrays (:class:`PolicyProduct`)
+and reads every policy ball of a center off one BFS over it.
 
 For the router-level graph the paper computes AS-level policy paths and
 then router-level shortest paths within the AS sequence.  We realise the
@@ -37,7 +39,11 @@ import dataclasses
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
+import numpy as np
+
+from repro.graph import kernels
 from repro.graph.core import Graph
+from repro.graph.csr import CSRGraph
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -141,6 +147,14 @@ class PolicyDAG:
     state_sigma: Dict[State, int]
     state_preds: Dict[State, List[State]]
 
+    def distances(self) -> Dict[Node, int]:
+        """Shortest valley-free distance to each reachable node."""
+        result: Dict[Node, int] = {}
+        for (node, _state), d in self.state_dist.items():
+            if node not in result or d < result[node]:
+                result[node] = d
+        return result
+
     def distance(self, node: Node) -> Optional[int]:
         """Shortest valley-free distance to ``node`` (None if unreachable)."""
         best = None
@@ -206,12 +220,7 @@ def policy_dag(graph: Graph, rels: Relationships, source: Node) -> PolicyDAG:
 
 def policy_distances(graph: Graph, rels: Relationships, source: Node) -> Dict[Node, int]:
     """Valley-free shortest distance from ``source`` to each reachable node."""
-    dag = policy_dag(graph, rels, source)
-    result: Dict[Node, int] = {}
-    for (node, _state), d in dag.state_dist.items():
-        if node not in result or d < result[node]:
-            result[node] = d
-    return result
+    return policy_dag(graph, rels, source).distances()
 
 
 def policy_pair_edge_fractions(dag: PolicyDAG, target: Node) -> Dict[Edge, float]:
@@ -286,3 +295,97 @@ def policy_path_edges(dag: PolicyDAG, targets: Iterable[Node]) -> List[Edge]:
                 h_seen[p] = True
                 queue.append(p)
     return list(edges)
+
+
+#: Ball radius of an arc that lies in no policy ball.
+NO_BALL = np.iinfo(np.int32).max
+
+
+class PolicyProduct:
+    """The valley-free product of a frozen graph, on arrays.
+
+    Product node ``s * n + i`` is node index ``i`` in automaton state
+    ``s``.  Ascent rows hold every CSR arc, landing in the state
+    :func:`_transition` gives; descent rows hold only the arcs the
+    descent state may take.  Built once per (graph, relationships) and
+    walked by the plain BFS kernel, one BFS per center
+    (:meth:`ball_radii`).
+    """
+
+    __slots__ = ("n", "product", "tail", "descent_arcs", "reverse")
+
+    def __init__(self, csr: CSRGraph, rels: Relationships):
+        n = csr.number_of_nodes()
+        nodes = csr.node_list()
+        indptr = csr.indptr.astype(np.int64)
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        dst = csr.indices.astype(np.int64)
+        arc_rels = [
+            rels.rel(nodes[u], nodes[v])
+            for u, v in zip(src.tolist(), dst.tolist())
+        ]
+        steps = {
+            rel: (_transition(_ASCENT, rel), _transition(_DESCENT, rel))
+            for rel in set(arc_rels)
+        }
+        ascent_to = np.array([steps[rel][0] for rel in arc_rels], dtype=np.int64)
+        descent_ok = np.array(
+            [steps[rel][1] is not None for rel in arc_rels], dtype=bool
+        )
+        descent_arcs = np.flatnonzero(descent_ok)
+        descent_ends = np.concatenate([[0], np.cumsum(descent_ok)])[indptr[1:]]
+        self.n = n
+        self.product = CSRGraph(
+            np.concatenate([indptr, indptr[-1] + descent_ends]),
+            np.concatenate([dst + n * ascent_to, dst[descent_arcs] + n]),
+            range(2 * n),
+        )
+        self.tail = np.concatenate([src, src[descent_arcs] + n])
+        self.descent_arcs = descent_arcs
+        # Rows are sorted, so ordering arcs by (head, tail) lists each
+        # arc's reverse in CSR order.
+        self.reverse = np.lexsort((src, dst))
+
+    def ball_radii(self, source: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Policy distances and arc ball radii from node index ``source``.
+
+        Returns ``(dist, arc_radius)``.  ``dist`` is each node's policy
+        distance, the minimum over its states (``-1`` when unreached).
+        ``arc_radius[a]`` is the smallest radius h whose policy ball
+        holds CSR arc ``a``: the arc lies on a shortest policy path to
+        an optimal state of some node within distance h.  Both arcs of
+        an edge agree; :data:`NO_BALL` marks an arc in no ball.  The
+        ball of radius h is the nodes with ``dist <= h`` and the arcs
+        with ``arc_radius <= h``, the links :func:`policy_path_edges`
+        finds.
+        """
+        state_dist = kernels.bfs_levels(self.product, source).astype(np.int64)
+        state_dist[state_dist < 0] = NO_BALL
+        node_dist = state_dist.reshape(2, self.n).min(axis=0)
+        # need[q]: the least distance of a node whose optimal state is
+        # reachable from q along shortest-path arcs.
+        need = np.where(state_dist == np.tile(node_dist, 2), state_dist, NO_BALL)
+        head = self.product.indices
+        tail_dist = state_dist[self.tail]
+        tight = np.flatnonzero(
+            (tail_dist < NO_BALL) & (state_dist[head] == tail_dist + 1)
+        )
+        tight = tight[np.argsort(tail_dist[tight], kind="stable")]
+        levels = tail_dist[tight]
+        # One backward sweep: a level's heads are final before its tails.
+        for level in range(int(levels[-1]) if levels.size else -1, -1, -1):
+            lo, hi = np.searchsorted(levels, (level, level + 1))
+            arcs = tight[lo:hi]
+            np.minimum.at(need, self.tail[arcs], need[head[arcs]])
+        state_radius = np.full(head.size, NO_BALL, dtype=np.int64)
+        state_radius[tight] = need[head[tight]]
+        # State arcs map to CSR arcs: ascent arcs one to one, then the
+        # descent arcs; an arc takes its lesser state radius.
+        arc_count = self.reverse.size
+        arc_radius = state_radius[:arc_count]
+        arc_radius[self.descent_arcs] = np.minimum(
+            arc_radius[self.descent_arcs], state_radius[arc_count:]
+        )
+        arc_radius = np.minimum(arc_radius, arc_radius[self.reverse])
+        dist = np.where(node_dist < NO_BALL, node_dist, -1).astype(np.int32)
+        return dist, arc_radius

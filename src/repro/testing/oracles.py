@@ -38,7 +38,8 @@ from repro.graph.core import Graph
 from repro.graph.cover import vertex_cover_size
 from repro.graph.flow import INF, Dinic
 from repro.graph.traversal import bfs_distances
-# The canonical Appendix E ball constructor, shared with the engine.
+# The reference Appendix E ball constructor; the engine slices the same
+# balls from the frozen graph with PolicyProduct's arc radii.
 from repro.metrics.balls import _policy_ball_from_dag
 from repro.metrics.distortion import distortion_of
 from repro.metrics.resilience import resilience_of
@@ -543,19 +544,17 @@ def oracle_compute_center(ctx, plan, ci: int):
     ``(counts_at, group_contributions)`` result: dict BFS
     (:func:`~repro.graph.traversal.bfs_distances`) instead of the CSR
     kernel, and every metric's :data:`ORACLE_EVALUATORS` entry on every
-    ball instead of the fused batch kernels.  Balls are induced on the canonical
-    thawed graph in ascending node-index order, and each metric draws
-    from its own per-center RNG stream, as the engine's determinism
-    contract requires.
+    ball instead of the fused batch kernels.  Balls, plain and policy,
+    are built on the canonical thawed graph in ascending node-index
+    order, and each metric draws from its own per-center RNG stream, as
+    the engine's determinism contract requires.
     """
     center = plan.centers[ci]
-    graph = ctx.graph
+    graph = ctx.csr.thaw()
     dag = None
     if plan.rels is not None:
         dag = policy_dag(graph, plan.rels, center)
-        dist: Dict[Node, int] = {}
-        for (node, _state), d in dag.state_dist.items():
-            dist[node] = min(d, dist.get(node, d))
+        dist = dag.distances()
     else:
         dist = bfs_distances(graph, center)
     per_level = [0] * (max(dist.values(), default=0) + 1)
@@ -585,7 +584,7 @@ def oracle_compute_center(ctx, plan, ci: int):
             if group.max_ball_size is not None and size > group.max_ball_size:
                 break
             if dag is not None:
-                ball = _policy_ball_from_dag(dag, radius)
+                ball = _policy_ball_from_dag(graph, dag, radius)
             else:
                 ball = graph.subgraph(
                     [node for node in canonical if dist.get(node, radius + 1) <= radius]

@@ -1085,9 +1085,10 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
     if repr(engine.last_run) != repr(oracle.last_run):
         fail("engine last_run != OracleEngine last_run")
 
-    # Policy balls ride the same fused batch kernels; the oracle runs
-    # the dict twins on the DAG-built balls.  Random annotations, with
-    # siblings, on the same graph.
+    # Policy balls are sliced with the product's arc radii and ride the
+    # same fused batch kernels; the oracle runs the dict twins on the
+    # DAG-built balls.  Random annotations, with siblings, on the same
+    # graph.
     report.checks += 1
     rels = Relationships()
     for u, v in g.iter_edges():

@@ -363,22 +363,6 @@ def test_cache_entries_live_in_hash_prefix_shards(tmp_path):
     assert len(shard_for(key)) == 2
 
 
-def test_cache_migrates_legacy_flat_entries_on_hit(tmp_path):
-    """Pre-shard caches had entries at the root; a hit moves the entry
-    into its shard so old caches upgrade in place."""
-    from repro.engine.cache import SeriesCache
-
-    cache = SeriesCache(str(tmp_path))
-    key = "clustering-" + "b" * 40
-    cache.put(key, "clustering", [(0, 0.5), (1, 0.25)])
-    sharded = cache.path_for(key)
-    legacy = tmp_path / f"{key}.json"
-    sharded.rename(legacy)  # simulate a CACHE_VERSION-3 flat layout
-    fresh = SeriesCache(str(tmp_path))
-    assert fresh.get(key) == [(0, 0.5), (1, 0.25)]
-    assert sharded.exists() and not legacy.exists()
-
-
 def test_cache_lru_eviction_respects_max_entries(tmp_path):
     import os as _os
     import time as _time
@@ -633,7 +617,9 @@ def test_non_policy_pass_never_thaws_the_whole_graph(monkeypatch):
     assert max(thawed) < n
 
 
-def test_policy_pass_still_thaws_the_whole_graph(monkeypatch):
+def test_policy_pass_never_thaws_the_whole_graph(monkeypatch):
+    # Policy balls are sliced from the frozen graph like plain balls;
+    # only each ball's own sub-CSR is thawed, for the dict evaluator.
     as_graph = synthetic_as_graph(ASGraphParams(n=200), seed=4)
     n = as_graph.graph.number_of_nodes()
     thawed = _record_thaws(monkeypatch)
@@ -649,7 +635,8 @@ def test_policy_pass_still_thaws_the_whole_graph(monkeypatch):
             )
         ],
     )
-    assert n in thawed
+    assert thawed, "the dict evaluator never ran"
+    assert max(thawed) < n
 
 
 # ----------------------------------------------------------------------

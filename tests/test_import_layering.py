@@ -11,7 +11,11 @@ module-level and deferred (inside functions) alike — is read with
   (``repro.metrics.resilience``, ``repro.metrics.distortion``) nor the
   dict partitioner, covers and biconnectivity they stand on
   (``repro.graph.partition``, ``repro.graph.cover``,
-  ``repro.graph.components``) — those run only as test oracles;
+  ``repro.graph.components``) — those run only as test oracles — nor
+  the dict policy DAG and the policy ball built from it
+  (``repro.routing.policy.policy_dag``,
+  ``repro.metrics.balls._policy_ball_from_dag``), the references of its
+  array-sliced policy balls;
 * the CSR kernels (``repro.graph.kernels*``) do not import
   ``repro.metrics`` — the graph layer sits below the metrics — nor the
   dict partitioner, covers and biconnectivity they are checked against
@@ -39,6 +43,8 @@ DICT_GRAPH_TWINS = (
 ENGINE_FORBIDDEN = (
     "repro.metrics.resilience",
     "repro.metrics.distortion",
+    "repro.routing.policy.policy_dag",
+    "repro.metrics.balls._policy_ball_from_dag",
 ) + DICT_GRAPH_TWINS
 
 KERNELS_FORBIDDEN = ("repro.metrics",) + DICT_GRAPH_TWINS
@@ -135,6 +141,10 @@ def test_guard_sees_every_module_and_deferred_imports():
          "repro.graph.kernels_flow", "a layer above or a twin"),
         ("from ..testing import oracles\n",
          "repro.harness.report", "an oracle"),
+        ("from repro.routing.policy import PolicyProduct, policy_dag\n",
+         "repro.engine.core", "a dict twin"),
+        ("def f():\n    from ..metrics.balls import _policy_ball_from_dag\n",
+         "repro.engine.core", "a dict twin"),
     ],
 )
 def test_guard_flags_a_planted_import(tmp_path, source, name, expected):

@@ -15,13 +15,28 @@ We encode relationships realising exactly those distances and assert the
 ball contents verbatim.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine import METRICS, MetricEngine, MetricRequest
+from repro.graph import kernels
 from repro.graph.core import Graph
+from repro.graph.csr import csr_from_graph
 from repro.graph.traversal import is_connected
+from repro.internet import synthetic_as_graph
+from repro.internet.asgraph import ASGraphParams
 from repro.metrics.balls import _policy_ball_from_dag, policy_ball_subgraph
-from repro.routing.policy import Relationships, policy_dag, policy_distances
+from repro.routing.policy import (
+    CUSTOMER,
+    PEER,
+    PROVIDER,
+    PolicyProduct,
+    Relationships,
+    policy_dag,
+    policy_distances,
+)
+from repro.testing import OracleEngine
 from repro.testing.strategies import connected_graphs
 
 
@@ -175,6 +190,84 @@ def test_every_policy_ball_is_connected_and_holds_its_center(case):
     dag = policy_dag(g, rels, center)
     reach = max(policy_distances(g, rels, center).values())
     for radius in range(0, reach + 1):
-        ball = _policy_ball_from_dag(dag, radius)
+        ball = _policy_ball_from_dag(g, dag, radius)
         assert center in ball
         assert is_connected(ball), (radius, ball.edges())
+
+
+# ----------------------------------------------------------------------
+# The engine's array-sliced policy balls
+# ----------------------------------------------------------------------
+
+def assert_array_balls_match_reference(g, rels):
+    """Every center and radius: the ball sliced from the frozen graph
+    with the product's arc radii equals ``policy_ball_subgraph``
+    frozen, node list and arrays alike."""
+    csr = g.freeze()
+    product = PolicyProduct(csr, rels)
+    for center in g.nodes():
+        dist, arc_radius = product.ball_radii(csr.index_of(center))
+        for radius in range(int(dist.max()) + 1):
+            got = kernels.BallBatch(
+                csr,
+                [kernels.ball_members(dist, radius)],
+                arc_radius=(arc_radius, [radius]),
+            ).sub_csr(0)
+            want = csr_from_graph(policy_ball_subgraph(g, rels, center, radius))
+            assert got.node_list() == want.node_list(), (center, radius)
+            assert np.array_equal(got.indptr, want.indptr), (center, radius)
+            assert np.array_equal(got.indices, want.indices), (center, radius)
+
+
+def test_array_policy_balls_match_reference_on_figure15(figure15):
+    assert_array_balls_match_reference(*figure15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(annotated_graphs())
+def test_array_policy_balls_match_reference(case):
+    g, rels, _center = case
+    assert_array_balls_match_reference(g, rels)
+
+
+def relabelled_as_strings(graph, rels):
+    """The graph and its annotation with node ``v`` renamed ``as<v>``,
+    node order kept."""
+    label = {v: f"as{v}" for v in graph.nodes()}
+    out = Graph()
+    out.add_nodes_from(label.values())
+    out.add_edges_from((label[u], label[v]) for u, v in graph.iter_edges())
+    out_rels = Relationships()
+    for u, v in rels.annotated_edges():
+        rel = rels.rel(u, v)
+        if rel == PROVIDER:
+            out_rels.set_provider_customer(provider=label[v], customer=label[u])
+        elif rel == CUSTOMER:
+            out_rels.set_provider_customer(provider=label[u], customer=label[v])
+        elif rel == PEER:
+            out_rels.set_peer(label[u], label[v])
+        else:
+            out_rels.set_sibling(label[u], label[v])
+    return out, out_rels
+
+
+def test_policy_series_ignore_label_type():
+    # A policy ball's members are in node-index order, so string labels
+    # (whose set order follows the hash seed) give the int series.
+    as_graph = synthetic_as_graph(ASGraphParams(n=150), seed=4)
+    names = [name for name in METRICS if METRICS[name].kind == "ball"]
+    results = []
+    for graph, rels in (
+        (as_graph.graph, as_graph.relationships),
+        relabelled_as_strings(as_graph.graph, as_graph.relationships),
+    ):
+        requests = [
+            MetricRequest(name, num_centers=4, max_ball_size=120, rels=rels, seed=1)
+            for name in names
+        ]
+        got = MetricEngine(use_cache=False).compute(graph, requests)
+        want = OracleEngine().compute(graph, requests)
+        assert repr(got) == repr(want)
+        results.append([got[name] for name in names])
+    assert len(results[0]) == 6 and all(results[0])
+    assert repr(results[0]) == repr(results[1])

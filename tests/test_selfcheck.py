@@ -392,6 +392,27 @@ def test_selfcheck_catches_batch_resilience_drift(monkeypatch):
     assert "resilience_csr_batch" in messages
 
 
+def test_selfcheck_catches_policy_arc_radius_off_by_one(monkeypatch):
+    """Kernels family, policy leg: a backward sweep that gives every arc
+    a radius one too large (a ball keeps its arcs one radius late) must
+    flip the engine-vs-oracle policy-ball check red."""
+    from repro.routing import policy
+
+    real = policy.PolicyProduct.ball_radii
+
+    def late(self, source):
+        dist, arc_radius = real(self, source)
+        return dist, arc_radius + (arc_radius < policy.NO_BALL)
+
+    monkeypatch.setattr(policy.PolicyProduct, "ball_radii", late)
+    report = run_selfcheck(
+        rounds=8, seed=0, families=["kernels"], out=lambda _: None
+    )
+    assert not report.ok
+    messages = " ".join(f.message for f in report.families[0].failures)
+    assert "policy-ball" in messages
+
+
 def test_selfcheck_catches_builder_chunk_off_by_one(monkeypatch):
     """A planted chunk off-by-one (first edge of every chunk dropped)
     must flip the ``streaming`` family red."""
