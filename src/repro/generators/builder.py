@@ -23,9 +23,10 @@ Sinks
 :class:`GraphBuilder`
     The streaming path: amortized-doubling int32 edge buffers (with
     optional ``np.memmap`` spill for out-of-core builds and an optional
-    on-disk :class:`EdgeSpool` tee), incremental degree tracking, and an
-    incremental union-find so connectivity queries and giant-component
-    extraction never need the dict form.
+    on-disk :class:`EdgeSpool` tee), incremental degree tracking, and
+    array component labelling (min-label hooking plus pointer jumping
+    over the deduplicated edges) so connectivity queries and
+    giant-component extraction never need the dict form.
 
 Membership queries (``has_edge`` / ``degree`` / ``number_of_edges``)
 switch a :class:`GraphBuilder` into *exact mode* lazily: a packed-int64
@@ -66,6 +67,45 @@ def _pack(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _unpack(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return (keys >> 32), (keys & _KEY_MASK)
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` for a fresh int64 array, which it sorts in
+    place: sort plus adjacent-difference, never numpy's hash path."""
+    keys.sort()
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    return keys[fresh]
+
+
+def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The smallest member id of each node's component over edges
+    ``(a[i], b[i])``, as an int32 array of length ``n``.
+
+    Min-label hooking: every root takes the smallest root found across
+    its edges, then pointer jumping flattens the forest, until no edge
+    joins two roots.  Labels only ever fall and each stays inside its
+    node's component, so a root is its component's smallest id — the
+    tie-break of the dict path's
+    :func:`~repro.graph.traversal.connected_components`.
+    """
+    roots = np.arange(n, dtype=np.int32)
+    while len(a):
+        ra, rb = roots[a], roots[b]
+        live = ra != rb
+        if not live.any():
+            break
+        a, b, ra, rb = a[live], b[live], ra[live], rb[live]
+        low = np.minimum(ra, rb)
+        np.minimum.at(roots, ra, low)
+        np.minimum.at(roots, rb, low)
+        while True:
+            jumped = roots[roots]
+            if np.array_equal(jumped, roots):
+                break
+            roots = jumped
+    return roots
 
 
 class EdgeSink:
@@ -248,56 +288,6 @@ class EdgeSpool:
         self.close()
 
 
-class _UnionFind:
-    """Array-backed union-find with path halving and min-root union.
-
-    Roots are always the smallest node id in their component, which is
-    what makes the giant-component tie-break below line up with the
-    dict-path :func:`~repro.graph.traversal.connected_components`
-    (stable size sort over discovery order == smallest-id-first for the
-    dense integer labels generators allocate).
-    """
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int32)
-
-    def grow(self, n: int) -> None:
-        old = len(self.parent)
-        if n > old:
-            fresh = np.arange(n, dtype=np.int32)
-            fresh[:old] = self.parent
-            self.parent = fresh
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = int(p[x])
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if ra < rb:
-            self.parent[rb] = ra
-        else:
-            self.parent[ra] = rb
-
-    def roots(self) -> np.ndarray:
-        """Fully-compressed root array (parent[i] == root of i)."""
-        p = self.parent
-        while True:
-            pp = p[p]
-            if np.array_equal(pp, p):
-                break
-            p = pp
-        self.parent = p
-        return p
-
-
 class GraphBuilder(EdgeSink):
     """Streaming CSR builder: the sink that never builds the dict form.
 
@@ -350,9 +340,6 @@ class GraphBuilder(EdgeSink):
             self._edge_set = set()
             self._degrees = np.zeros(max(self._n, 1), dtype=np.int64)
         self._removed = False
-        # Incremental union-find state: rows [0, _uf_pos) are merged.
-        self._uf: Optional[_UnionFind] = None
-        self._uf_pos = 0
 
     # ------------------------------------------------------------------
     # Buffer management
@@ -399,7 +386,9 @@ class GraphBuilder(EdgeSink):
     def _activate_exact(self) -> None:
         if self._edge_set is not None:
             return
-        keys = np.unique(_pack(self._buf[: self._m, 0], self._buf[: self._m, 1]))
+        keys = _sorted_unique(
+            _pack(self._buf[: self._m, 0], self._buf[: self._m, 1])
+        )
         self._edge_set = set(keys.tolist())
         lo, hi = _unpack(keys)
         self._grow_edges(len(keys))
@@ -410,9 +399,6 @@ class GraphBuilder(EdgeSink):
             hi, minlength=max(self._n, 1)
         )
         self._degrees = degrees.astype(np.int64)
-        # The buffer was rewritten; merged union-find prefixes are void.
-        self._uf = None
-        self._uf_pos = 0
 
     # ------------------------------------------------------------------
     # EdgeSink API
@@ -486,8 +472,6 @@ class GraphBuilder(EdgeSink):
         self._degrees[u] -= 1
         self._degrees[v] -= 1
         self._removed = True
-        self._uf = None  # splitting an edge invalidates merged state
-        self._uf_pos = 0
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = int(u), int(v)
@@ -510,8 +494,7 @@ class GraphBuilder(EdgeSink):
             return self._degrees[: self._n].copy()
         lo = self._buf[: self._m, 0]
         hi = self._buf[: self._m, 1]
-        keys = np.unique(_pack(lo, hi))
-        a, b = _unpack(keys)
+        a, b = _unpack(_sorted_unique(_pack(lo, hi)))
         return (
             np.bincount(a, minlength=max(self._n, 1))
             + np.bincount(b, minlength=max(self._n, 1))
@@ -525,7 +508,7 @@ class GraphBuilder(EdgeSink):
         return len(self._edge_set)
 
     # ------------------------------------------------------------------
-    # Connectivity (incremental union-find)
+    # Connectivity (array component labelling)
     # ------------------------------------------------------------------
     def _rebuild_from_set(self) -> None:
         """After removals the buffer is stale; recreate it from the set."""
@@ -537,43 +520,14 @@ class GraphBuilder(EdgeSink):
         self._buf[: self._m, 0] = lo
         self._buf[: self._m, 1] = hi
         self._removed = False
-        self._uf = None
-        self._uf_pos = 0
-
-    def _refresh_union_find(self) -> _UnionFind:
-        if self._removed:
-            self._rebuild_from_set()
-        if self._uf is None:
-            self._uf = _UnionFind(self._n)
-            self._uf_pos = 0
-        uf = self._uf
-        uf.grow(self._n)
-        if self._uf_pos < self._m:
-            buf = self._buf
-            find = uf.find
-            parent = uf.parent
-            for i in range(self._uf_pos, self._m):
-                ra = find(int(buf[i, 0]))
-                rb = find(int(buf[i, 1]))
-                if ra != rb:
-                    if ra < rb:
-                        parent[rb] = ra
-                    else:
-                        parent[ra] = rb
-            self._uf_pos = self._m
-        return uf
 
     def connected(self) -> bool:
-        if self._n <= 1:
-            return True
-        roots = self._refresh_union_find().roots()[: self._n]
-        return bool((roots == roots[0]).all()) and int(roots[0]) == 0
+        # Connected iff every node's smallest-member root is node 0.
+        return not self.component_roots().any()
 
     def component_roots(self) -> np.ndarray:
         """Smallest-member root id per node (length ``number_of_nodes``)."""
-        if self._n == 0:
-            return np.empty(0, dtype=np.int32)
-        return self._refresh_union_find().roots()[: self._n].copy()
+        return _component_roots(self._n, *self._unique_edges())
 
     # ------------------------------------------------------------------
     # Finalize
@@ -589,8 +543,7 @@ class GraphBuilder(EdgeSink):
                 np.minimum(lo, hi).astype(np.int64),
                 np.maximum(lo, hi).astype(np.int64),
             )
-        keys = np.unique(_pack(lo, hi))
-        return _unpack(keys)
+        return _unpack(_sorted_unique(_pack(lo, hi)))
 
     def finalize(self, name: str = "", component: str = "all") -> CSRGraph:
         """Freeze the streamed edges into a canonical :class:`CSRGraph`.
@@ -606,18 +559,16 @@ class GraphBuilder(EdgeSink):
         n = self._n
         nodes: Union[range, List[int]] = range(n)
         if component == "giant" and n > 1:
-            roots = self.component_roots()
-            sizes = np.bincount(roots, minlength=n)
-            max_size = int(sizes.max()) if n else 0
-            member_sizes = sizes[roots]
-            winner = int(roots[int(np.argmax(member_sizes == max_size))])
-            keep = roots == winner
+            roots = _component_roots(n, a, b)
+            # Sizes sit at root ids and argmax takes the first maximum:
+            # the tied giant with the smallest member wins.
+            keep = roots == np.argmax(np.bincount(roots, minlength=n))
             if not keep.all():
                 remap = np.cumsum(keep) - 1
                 mask = keep[a]
                 a = remap[a[mask]]
                 b = remap[b[mask]]
-                nodes = [int(x) for x in np.flatnonzero(keep)]
+                nodes = np.flatnonzero(keep).tolist()
                 n = len(nodes)
         src = np.concatenate([a, b])
         dst = np.concatenate([b, a])
@@ -639,8 +590,6 @@ class GraphBuilder(EdgeSink):
         self._buf = np.empty((0, 2), dtype=np.int32)
         self._spill_path = None
         self._m = 0
-        self._uf = None
-        self._uf_pos = 0
         self._edge_set = None if self._edge_set is None else set()
         if self._degrees is not None:
             self._degrees = np.zeros(1, dtype=np.int64)

@@ -24,7 +24,7 @@ either way.
 
 from __future__ import annotations
 
-import bisect
+import array
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -71,19 +71,18 @@ def power_law_degrees(
     k_max = max_degree if max_degree is not None else max(min_degree, n - 1)
     require(k_max >= min_degree, "max_degree must be >= min_degree")
 
-    # Inverse-CDF sampling over the discrete support.  The support table
-    # is a numpy array (at million-node scale a Python float list here
-    # would dwarf the streaming build's entire footprint); the per-node
-    # draw loop keeps the historical random.Random consumption, so
-    # sequences are unchanged per seed.
+    # Inverse-CDF sampling over the discrete support, drawn in the
+    # historical random.Random order and mapped in one searchsorted
+    # (the first index whose cumulative weight reaches the draw, exactly
+    # what a per-draw bisect_left returns), so sequences are unchanged
+    # per seed.  The support table stays a numpy array: at million-node
+    # scale a Python float list would dwarf the streaming build.
     support = np.arange(min_degree, k_max + 1, dtype=np.float64)
     cumulative = np.cumsum(support ** (-exponent))
-    total = cumulative[-1]
-    degrees = []
-    for _ in range(n):
-        r = rng.random() * total
-        idx = bisect.bisect_left(cumulative, r)
-        degrees.append(min_degree + idx)
+    random = rng.random
+    draws = np.fromiter((random() for _ in range(n)), dtype=np.float64, count=n)
+    idx = np.searchsorted(cumulative, draws * cumulative[-1], side="left")
+    degrees = (idx + min_degree).tolist()
     if sum(degrees) % 2 == 1:
         degrees[rng.randrange(n)] += 1
     return degrees
@@ -126,20 +125,24 @@ def is_graphical(degrees: Sequence[int]) -> bool:
 # signature when `sink` is omitted.
 
 def _shuffled_stubs(degrees: Sequence[int], rng) -> np.ndarray:
-    """The stub multiset, shuffled in place with ``random.Random``.
+    """The stub multiset as int32, shuffled with ``random.Random``.
 
-    ``rng.shuffle`` runs its usual Fisher–Yates over the numpy array —
-    the draws depend only on the length, and the initial contents equal
-    the historical Python stub list, so the resulting permutation (and
-    every downstream edge) is identical per seed to the old list-based
-    code while costing 4 bytes per stub instead of a Python object.
+    ``rng.shuffle`` runs its usual Fisher–Yates over a 4-byte
+    ``array.array`` copy (plain int items, no numpy scalar per swap):
+    the draws depend only on the length and the initial contents equal
+    the historical Python stub list, so the permutation (and every
+    downstream edge) is identical per seed to the old list-based code
+    while costing 4 bytes per stub instead of a Python object.
     """
-    stubs = np.repeat(
-        np.arange(len(degrees), dtype=np.int32),
-        np.asarray(degrees, dtype=np.int64),
+    stubs = array.array("i")
+    stubs.frombytes(
+        np.repeat(
+            np.arange(len(degrees), dtype=np.int32),
+            np.asarray(degrees, dtype=np.int64),
+        ).data.cast("B")
     )
     rng.shuffle(stubs)
-    return stubs
+    return np.frombuffer(stubs, dtype=np.int32)
 
 
 def _emit_plrg(dest: EdgeSink, degrees: Sequence[int], rng) -> None:

@@ -44,6 +44,8 @@ from repro.testing.oracles import (
     oracle_link_value,
     oracle_min_st_cut,
     oracle_min_vertex_cover_size,
+    oracle_power_law_degrees,
+    oracle_shuffled_stubs,
     oracle_spanning_tree_distortion,
     oracle_tree_distance,
 )
@@ -72,6 +74,8 @@ __all__ = [
     "oracle_link_value",
     "oracle_min_st_cut",
     "oracle_min_vertex_cover_size",
+    "oracle_power_law_degrees",
+    "oracle_shuffled_stubs",
     "oracle_spanning_tree_distortion",
     "oracle_tree_distance",
     "check_engine_equivalence",

@@ -22,15 +22,20 @@ dict twins no production path runs); the Section 5 oracles
 (:func:`oracle_link_traversal_sets`, :func:`oracle_link_value`) walk
 the dict shortest-path DAG per pair and run ``Dinic.max_flow`` on a
 network built arc by arc, replacing only the array construction of
-traversal sets, vertex weights and cover networks.
+traversal sets, vertex weights and cover networks.  The PLRG draw
+oracles (:func:`oracle_power_law_degrees`, :func:`oracle_shuffled_stubs`)
+are the per-draw loops the array draws replaced.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from collections import deque
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.engine import METRICS, MetricEngine
 from repro.graph.components import count_biconnected_components
@@ -501,6 +506,41 @@ def oracle_exact_distortion(graph: Graph) -> float:
     if best == float("inf"):
         raise ValueError("graph is not connected; it has no spanning tree")
     return best
+
+
+# ----------------------------------------------------------------------
+# PLRG draws
+# ----------------------------------------------------------------------
+
+def oracle_power_law_degrees(
+    n: int,
+    exponent: float,
+    rng: random.Random,
+    min_degree: int = 1,
+    max_degree: Optional[int] = None,
+) -> List[int]:
+    """:func:`~repro.generators.degree_sequence.power_law_degrees` one
+    draw at a time: the same weight table, one ``bisect_left`` per
+    ``rng.random()``, then the same odd-sum fix-up."""
+    k_max = max_degree if max_degree is not None else max(min_degree, n - 1)
+    support = np.arange(min_degree, k_max + 1, dtype=np.float64)
+    cumulative = np.cumsum(support ** (-exponent))
+    total = cumulative[-1]
+    degrees = []
+    for _ in range(n):
+        r = rng.random() * total
+        degrees.append(min_degree + bisect.bisect_left(cumulative, r))
+    if sum(degrees) % 2 == 1:
+        degrees[rng.randrange(n)] += 1
+    return degrees
+
+
+def oracle_shuffled_stubs(degrees: Sequence[int], rng: random.Random) -> List[int]:
+    """The stub list (node ``i`` repeated ``degrees[i]`` times) shuffled
+    as a plain Python list."""
+    stubs = [node for node, degree in enumerate(degrees) for _ in range(degree)]
+    rng.shuffle(stubs)
+    return stubs
 
 
 # ----------------------------------------------------------------------

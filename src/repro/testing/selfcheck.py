@@ -29,8 +29,11 @@ implementations still trustworthy?":
     The streaming :class:`~repro.generators.builder.GraphBuilder` vs.
     the dict build path: every registered generator emits the identical
     edge set per seed on both paths, random chunk streams freeze
-    bit-identically to ``Graph.freeze()`` regardless of chunking, and
-    the builder's incremental union-find agrees with ``is_connected``.
+    bit-identically to ``Graph.freeze()`` regardless of chunking, the
+    builder's array component labels agree with ``is_connected`` and
+    ``largest_connected_component``, and the PLRG draws
+    (``power_law_degrees``, ``_shuffled_stubs``) equal the per-draw
+    ``bisect`` loop and a Python-list shuffle, RNG state included.
 ``kernels``
     Every CSR kernel layer vs. its dict-of-sets twin, all bitwise, in
     sub-streams: *csr* (the frozen :class:`~repro.graph.csr.CSRGraph`:
@@ -722,10 +725,12 @@ def _check_streaming(rng: random.Random, report: FamilyReport) -> None:
     The builder is only trustworthy if the *same generator code* driving
     either sink produces the same graph — so each round replays one
     registered generator on both paths, then probes the builder's own
-    machinery (chunk invariance, union-find) against dict oracles.
+    machinery (chunk invariance, component labels) and the PLRG draws
+    against their references.
     """
     import numpy as np
 
+    from repro.generators import degree_sequence
     from repro.generators import registry as generator_registry
     from repro.generators.builder import GraphBuilder
 
@@ -776,7 +781,7 @@ def _check_streaming(rng: random.Random, report: FamilyReport) -> None:
     ):
         fail("chunked GraphBuilder CSR != Graph.freeze() on the same edges")
 
-    # --- incremental union-find vs. is_connected / components ---------
+    # --- array component labels vs. is_connected / components --------
     report.checks += 1
     g = random_graph(rng)
     builder = GraphBuilder()
@@ -791,6 +796,31 @@ def _check_streaming(rng: random.Random, report: FamilyReport) -> None:
         int(v) for v in giant.nodes()
     ) != sorted(int(v) for v in want.nodes()):
         fail("GraphBuilder giant component != largest_connected_component")
+
+    # --- PLRG draws vs. the per-draw bisect loop and a list shuffle ---
+    report.checks += 1
+    n = rng.randint(1, 3000)
+    exponent = rng.uniform(1.3, 3.5)
+    min_degree = rng.randint(1, 4)
+    max_degree = rng.choice([None, min_degree + rng.randint(0, 60)])
+    seed = rng.getrandbits(32)
+    draw_rng, ref_rng = random.Random(seed), random.Random(seed)
+    case = (
+        f"(n={n}, exponent={exponent!r}, degrees {min_degree}..{max_degree}, "
+        f"seed={seed})"
+    )
+    degrees = degree_sequence.power_law_degrees(
+        n, exponent, draw_rng, min_degree=min_degree, max_degree=max_degree
+    )
+    if degrees != oracles.oracle_power_law_degrees(
+        n, exponent, ref_rng, min_degree, max_degree
+    ) or draw_rng.getstate() != ref_rng.getstate():
+        fail(f"power_law_degrees{case} != per-draw bisect reference")
+    stubs = degree_sequence._shuffled_stubs(degrees, draw_rng)
+    if stubs.tolist() != oracles.oracle_shuffled_stubs(
+        degrees, ref_rng
+    ) or draw_rng.getstate() != ref_rng.getstate():
+        fail(f"_shuffled_stubs{case} != list-shuffle reference")
 
 
 def _kernels_metric_cores(rng: random.Random, report: FamilyReport) -> None:

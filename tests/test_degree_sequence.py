@@ -1,11 +1,16 @@
 """Tests for degree-sequence sampling and the Appendix D.1 wiring
 variants."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.generators.degree_sequence import (
     WIRING_METHODS,
+    _shuffled_stubs,
     degree_ccdf,
     expected_average_degree,
     fit_power_law_exponent,
@@ -20,6 +25,7 @@ from repro.generators.degree_sequence import (
 )
 from repro.generators.barabasi_albert import barabasi_albert
 from repro.graph.core import Graph
+from repro.testing.oracles import oracle_power_law_degrees, oracle_shuffled_stubs
 
 
 def test_power_law_degrees_even_sum():
@@ -47,6 +53,43 @@ def test_power_law_invalid():
         power_law_degrees(0, 2.5)
     with pytest.raises(ValueError):
         power_law_degrees(10, 2.5, min_degree=0)
+
+
+def test_power_law_degrees_match_the_per_draw_bisect_loop():
+    """The array draw is the old per-draw ``bisect_left`` loop, bit for
+    bit: the same Python ints and the same RNG state afterwards, through
+    the odd-sum ``randrange`` fix-up too."""
+    fixups = 0
+    grid = itertools.product(
+        (1, 2, 3, 999, 5000),
+        (1.5, 2.246, 3.1),
+        ((1, None), (2, None), (1, 7), (3, 40)),
+        (0, 7, 2024),
+    )
+    for n, exponent, (lo, hi), seed in grid:
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = power_law_degrees(n, exponent, rng, min_degree=lo, max_degree=hi)
+        want = oracle_power_law_degrees(n, exponent, ref_rng, lo, hi)
+        assert got == want, (n, exponent, lo, hi, seed)
+        assert all(type(d) is int for d in got)
+        assert rng.getstate() == ref_rng.getstate()
+        draws_only = random.Random(seed)
+        for _ in range(n):
+            draws_only.random()
+        fixups += draws_only.getstate() != rng.getstate()
+    assert fixups > 0
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [[], [0, 0], [1], [3, 0, 2, 5], power_law_degrees(2000, 2.246, seed=4)],
+)
+def test_shuffled_stubs_match_a_list_shuffle(degrees):
+    rng, ref_rng = random.Random(11), random.Random(11)
+    got = _shuffled_stubs(degrees, rng)
+    assert got.dtype == np.int32
+    assert got.tolist() == oracle_shuffled_stubs(degrees, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
 
 
 def test_expected_average_degree_decreases_with_exponent():

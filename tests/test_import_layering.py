@@ -2,7 +2,7 @@
 
 Every ``import`` statement of every module under ``src/repro`` —
 module-level and deferred (inside functions) alike — is read with
-``ast`` and checked against three rules:
+``ast`` and checked against four rules:
 
 * only ``repro.testing`` itself imports ``repro.testing``; the CLI's
   ``selfcheck`` subcommand, the harness's entry point, is the one
@@ -20,7 +20,11 @@ module-level and deferred (inside functions) alike — is read with
   ``repro.metrics`` — the graph layer sits below the metrics — nor the
   dict partitioner, covers and biconnectivity they are checked against
   (``repro.graph.partition``, ``repro.graph.cover``,
-  ``repro.graph.components``): a kernel shares no code with its oracle.
+  ``repro.graph.components``): a kernel shares no code with its oracle;
+* the generators (``repro.generators.*``) do not import ``scipy``:
+  ``scipy.sparse.csgraph`` alone adds about 33 MB of resident memory to
+  a process, more than the 10% peak-RSS budget of a streamed 500k-node
+  PLRG build, whose component labelling is plain numpy.
 """
 
 import ast
@@ -48,6 +52,8 @@ ENGINE_FORBIDDEN = (
 ) + DICT_GRAPH_TWINS
 
 KERNELS_FORBIDDEN = ("repro.metrics",) + DICT_GRAPH_TWINS
+
+GENERATORS_FORBIDDEN = ("scipy",)
 
 
 def module_name(path: pathlib.Path, root: pathlib.Path) -> str:
@@ -108,6 +114,10 @@ def violations(root: pathlib.Path = SRC):
                 within(target, forbidden) for forbidden in KERNELS_FORBIDDEN
             ):
                 found.append(f"{name} imports {target} (a layer above or a twin)")
+            if within(name, "repro.generators") and any(
+                within(target, forbidden) for forbidden in GENERATORS_FORBIDDEN
+            ):
+                found.append(f"{name} imports {target} (a heavy dependency)")
     return found
 
 
@@ -145,6 +155,8 @@ def test_guard_sees_every_module_and_deferred_imports():
          "repro.engine.core", "a dict twin"),
         ("def f():\n    from ..metrics.balls import _policy_ball_from_dag\n",
          "repro.engine.core", "a dict twin"),
+        ("def f():\n    from scipy.sparse import csgraph\n",
+         "repro.generators.builder", "a heavy dependency"),
     ],
 )
 def test_guard_flags_a_planted_import(tmp_path, source, name, expected):

@@ -7,6 +7,7 @@ verdict.  A selfcheck that cannot catch a planted bug is worthless.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
@@ -431,6 +432,43 @@ def test_selfcheck_catches_builder_chunk_off_by_one(monkeypatch):
         rounds=8, seed=0, families=["streaming"], out=lambda _: None
     )
     assert not report.ok
+
+
+def _degrees_off_by_one(real):
+    def shifted(*args, **kwargs):
+        return [degree + 1 for degree in real(*args, **kwargs)]
+
+    return shifted
+
+
+def _stubs_rotated(real):
+    def rotated(degrees, rng):
+        return np.roll(real(degrees, rng), 1)
+
+    return rotated
+
+
+@pytest.mark.parametrize(
+    "target,mutant,message",
+    [
+        ("power_law_degrees", _degrees_off_by_one, "power_law_degrees"),
+        ("_shuffled_stubs", _stubs_rotated, "_shuffled_stubs"),
+    ],
+)
+def test_selfcheck_catches_plrg_draw_mutations(monkeypatch, target, mutant, message):
+    """A ``min_degree`` off-by-one in the degree draw, or a shuffled stub
+    array rotated by one, must flip the ``streaming`` family red."""
+    from repro.generators import degree_sequence
+
+    monkeypatch.setattr(
+        degree_sequence, target, mutant(getattr(degree_sequence, target))
+    )
+    report = run_selfcheck(
+        rounds=4, seed=0, families=["streaming"], out=lambda _: None
+    )
+    assert not report.ok
+    messages = " ".join(f.message for f in report.families[0].failures)
+    assert message in messages
 
 
 def test_selfcheck_catches_merge_off_by_one(monkeypatch):
