@@ -208,14 +208,18 @@ def _center_distances(ctx: _ComputeContext, plan: _Plan, ci: int):
     """Distance vector (and policy arc radii, if any) for one center.
 
     Returns ``(dist, arc_radius)``: ``dist`` is a dense int32 array over
-    node indices (``-1`` = unreached); ``arc_radius`` is every CSR
+    node indices (``-1`` = unreached, or past a ball-only plan's
+    largest ``max_ball_size``); ``arc_radius`` is every CSR
     arc's policy ball radius for policy plans
     (:meth:`~repro.routing.policy.PolicyProduct.ball_radii`), else
     ``None``.
     """
     source = ctx.csr.index_of(plan.centers[ci])
     if plan.rels is None:
-        return kernels.bfs_levels(ctx.csr, source), None
+        # A ball-only plan slices no ball past its largest bound.
+        bounds = [group.max_ball_size for group in plan.groups]
+        reach = None if plan.distance_rids or None in bounds else max(bounds)
+        return kernels.bfs_levels(ctx.csr, source, max_reach=reach), None
     if plan.product is None:
         plan.product = PolicyProduct(ctx.csr, plan.rels)
     return plan.product.ball_radii(source)

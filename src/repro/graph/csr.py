@@ -68,7 +68,9 @@ class CSRGraph:
     True
     """
 
-    __slots__ = ("indptr", "indices", "name", "_nodes", "_index", "_fingerprint")
+    __slots__ = (
+        "indptr", "indices", "name", "_nodes", "_index", "_fingerprint", "_indptr64"
+    )
 
     def __init__(
         self,
@@ -92,9 +94,18 @@ class CSRGraph:
         self._nodes = nodes if isinstance(nodes, range) else list(nodes)
         # node -> index dict, built on first non-integer-range lookup.
         self._index: Optional[Dict[Node, int]] = None
-        # Content hash, memoized by repro.engine.cache.graph_fingerprint;
-        # safe because the arrays and labels never change.  Not pickled.
+        # Memos (repro.engine.cache.graph_fingerprint, indptr64): safe
+        # because the arrays and labels never change.  Not pickled.
         self._fingerprint: Optional[str] = None
+        self._indptr64: Optional[np.ndarray] = None
+
+    @property
+    def indptr64(self) -> np.ndarray:
+        """``indptr`` as read-only int64, the kernels' row-offset type."""
+        if self._indptr64 is None:
+            self._indptr64 = self.indptr.astype(np.int64)
+            self._indptr64.flags.writeable = False
+        return self._indptr64
 
     # ------------------------------------------------------------------
     # Node lookup (lazy index; O(1) arithmetic for range labels)

@@ -81,15 +81,12 @@ def _gather_rows(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
     return indices[positions], counts
 
 
-def _gather_neighbors(csr: CSRGraph, frontier: np.ndarray):
-    """:func:`_gather_rows` against a graph's own arrays."""
-    return _gather_rows(
-        csr.indptr.astype(np.int64), csr.indices, np.asarray(frontier)
-    )
-
-
 def bfs_levels(
-    csr: CSRGraph, source: int, max_depth: Optional[int] = None
+    csr: CSRGraph,
+    source: int,
+    max_depth: Optional[int] = None,
+    *,
+    max_reach: Optional[int] = None,
 ) -> np.ndarray:
     """Hop distances from node index ``source`` to every node.
 
@@ -98,18 +95,23 @@ def bfs_levels(
     ``max_depth``).  Expansion is level-at-a-time: with
     ``max_depth=0`` only the source is reached; with ``max_depth``
     at least the graph's eccentricity the result equals the unbounded
-    BFS.
+    BFS.  ``max_reach`` stops it after the first level at which more
+    than ``max_reach`` nodes (source included) are reached; the levels
+    swept are exact.
     """
     n = csr.number_of_nodes()
     if not 0 <= source < n:
         raise IndexError(f"source index {source} out of range for {n} nodes")
-    indptr = csr.indptr.astype(np.int64)
+    # Depth stays below n and the reach at most n: those bounds are free.
+    max_depth = n if max_depth is None else max_depth
+    max_reach = n if max_reach is None else max_reach
+    indptr = csr.indptr64
     indices = csr.indices
     dist = np.full(n, UNREACHED, dtype=np.int32)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
-    depth = 0
-    while frontier.size and (max_depth is None or depth < max_depth):
+    depth, reached = 0, 1
+    while frontier.size and depth < max_depth and reached <= max_reach:
         neighbors, _counts = _gather_rows(indptr, indices, frontier)
         if not neighbors.size:
             break
@@ -121,6 +123,7 @@ def bfs_levels(
         # frontier is then read back in ascending index order.
         dist[fresh] = depth
         frontier = np.flatnonzero(dist == depth)
+        reached += frontier.size
     return dist
 
 
@@ -142,7 +145,7 @@ def _multi_source_bitmask(
     """
     n = csr.number_of_nodes()
     k = len(sources)
-    indptr = csr.indptr.astype(np.int64)
+    indptr = csr.indptr64
     indices = csr.indices
     src_arr = np.asarray(sources, dtype=np.int64)
     if np.any((src_arr < 0) | (src_arr >= n)):
@@ -221,7 +224,7 @@ def bfs_with_path_counts(csr: CSRGraph, source: int):
     n = csr.number_of_nodes()
     if not 0 <= source < n:
         raise IndexError(f"source index {source} out of range for {n} nodes")
-    indptr = csr.indptr.astype(np.int64)
+    indptr = csr.indptr64
     indices = csr.indices
     dist = np.full(n, UNREACHED, dtype=np.int32)
     sigma = np.zeros(n, dtype=np.int64)
@@ -297,7 +300,7 @@ def induced_subgraph(csr: CSRGraph, members: np.ndarray) -> CSRGraph:
     keep = np.zeros(n, dtype=bool)
     keep[members] = True
     rank = np.cumsum(keep) - 1  # old index -> new index, where kept
-    neighbors, counts = _gather_neighbors(csr, members)
+    neighbors, counts = _gather_rows(csr.indptr64, csr.indices, members)
     kept_mask = keep[neighbors] if neighbors.size else np.empty(0, dtype=bool)
     row_ids = np.repeat(np.arange(members.size), counts)
     new_counts = np.bincount(row_ids[kept_mask], minlength=members.size)
@@ -340,10 +343,12 @@ class BallBatch:
     """Batched CSR slicing: many balls' induced subgraphs per numpy call.
 
     Construction gathers the CSR rows of *all* balls' members with one
-    :func:`_gather_rows` call and computes every ball's membership mask,
-    rank relabelling and kept-edge filter as whole-batch array
-    operations (chunked so no intermediate exceeds ``chunk_elements``).
-    :meth:`sub_csr` then just wraps the precomputed slices.
+    :func:`_row_positions` call and finds every arc's head in its own
+    ball with one ``np.searchsorted`` over the packed keys ``ball * n +
+    member``, which ascend across the batch: a hit keeps the arc, and
+    its slot minus the ball's offset is the head's rank in the ball.
+    Every temporary is sized by the balls and their arcs, never by the
+    graph.  :meth:`sub_csr` then just wraps the precomputed slices.
 
     The contract — asserted by the batching property tests — is that
     ``BallBatch(csr, members_list).sub_csr(i)`` is *bitwise identical*
@@ -363,7 +368,6 @@ class BallBatch:
         self,
         csr: CSRGraph,
         members_list: Sequence[np.ndarray],
-        chunk_elements: int = 1 << 23,
         *,
         arc_radius: Optional[Tuple[np.ndarray, Sequence[int]]] = None,
     ):
@@ -372,50 +376,31 @@ class BallBatch:
         for m in self._members:
             if m.size and np.any(m[1:] <= m[:-1]):
                 raise ValueError("members must be strictly ascending")
-        n = csr.number_of_nodes()
-        indptr64 = csr.indptr.astype(np.int64)
-        self._indptrs: List[np.ndarray] = []
-        self._indices: List[np.ndarray] = []
-        balls_per_chunk = max(1, chunk_elements // max(1, n))
-        for lo in range(0, len(self._members), balls_per_chunk):
-            self._slice_chunk(lo, lo + balls_per_chunk, n, indptr64, arc_radius)
-
-    def _slice_chunk(
-        self, lo: int, hi: int, n: int, indptr64: np.ndarray, arc_radius
-    ) -> None:
-        chunk = self._members[lo:hi]
-        sizes = np.array([m.size for m in chunk], dtype=np.int64)
+        sizes = np.array([m.size for m in self._members], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
-        if offsets[-1] == 0:
-            for m in chunk:
-                self._indptrs.append(np.zeros(m.size + 1, dtype=np.int32))
-                self._indices.append(np.empty(0, dtype=np.int32))
-            return
-        mcat = np.concatenate(chunk)
-        positions, counts = _row_positions(indptr64, mcat)
-        neighbors = self.csr.indices[positions]
-        member_ball = np.repeat(np.arange(len(chunk)), sizes)
+        mcat = np.concatenate([np.empty(0, dtype=np.int64), *self._members])
+        positions, counts = _row_positions(csr.indptr64, mcat)
+        neighbors = csr.indices[positions]
+        member_ball = np.repeat(np.arange(sizes.size), sizes)
         elem_ball = np.repeat(member_ball, counts)
-        keep = np.zeros((len(chunk), n), dtype=bool)
-        keep[member_ball, mcat] = True
-        rank = np.cumsum(keep, axis=1, dtype=np.int32) - 1
-        if neighbors.size:
-            kept_mask = keep[elem_ball, neighbors]
-        else:
-            kept_mask = np.empty(0, dtype=bool)
+        n = csr.number_of_nodes()
+        keys = member_ball * n + mcat
+        probes = elem_ball * n + neighbors
+        slots = np.searchsorted(keys, probes)
+        kept_mask = keys[np.minimum(slots, keys.size - 1)] == probes
         if arc_radius is not None:
             arc_limit, ball_limit = arc_radius
-            ball_limit = np.asarray(ball_limit)[lo + elem_ball]
-            kept_mask &= arc_limit[positions] <= ball_limit
-        row_ids = np.repeat(np.arange(mcat.size), counts)
-        kept_rows = row_ids[kept_mask]
+            kept_mask &= arc_limit[positions] <= np.asarray(ball_limit)[elem_ball]
+        kept_rows = np.repeat(np.arange(mcat.size), counts)[kept_mask]
         new_counts = np.bincount(kept_rows, minlength=mcat.size)
-        kept_indices = rank[elem_ball[kept_mask], neighbors[kept_mask]].astype(
-            np.int32
-        )
+        kept_indices = (
+            slots[kept_mask] - offsets[elem_ball[kept_mask]]
+        ).astype(np.int32)
         # ``kept_rows`` ascends, so each ball's kept edges are contiguous.
         boundaries = np.searchsorted(kept_rows, offsets)
-        for b, m in enumerate(chunk):
+        self._indptrs: List[np.ndarray] = []
+        self._indices: List[np.ndarray] = []
+        for b, m in enumerate(self._members):
             indptr = np.zeros(m.size + 1, dtype=np.int64)
             np.cumsum(new_counts[offsets[b] : offsets[b + 1]], out=indptr[1:])
             self._indptrs.append(indptr.astype(np.int32))

@@ -31,14 +31,16 @@ implementations still trustworthy?":
     edge set per seed on both paths, random chunk streams freeze
     bit-identically to ``Graph.freeze()`` regardless of chunking, the
     builder's array component labels agree with ``is_connected`` and
-    ``largest_connected_component``, and the PLRG draws
+    ``largest_connected_component`` (also on forced ties between a
+    component and its relabelled twin), and the PLRG draws
     (``power_law_degrees``, ``_shuffled_stubs``) equal the per-draw
     ``bisect`` loop and a Python-list shuffle, RNG state included.
 ``kernels``
     Every CSR kernel layer vs. its dict-of-sets twin, all bitwise, in
     sub-streams: *csr* (the frozen :class:`~repro.graph.csr.CSRGraph`:
-    freeze/thaw round-trips, vectorized BFS distances, ball
-    memberships, degree vectors, shortest-path counts), *flow*
+    freeze/thaw round-trips, vectorized BFS distances (unbounded,
+    depth- and reach-bounded), ball memberships, degree vectors,
+    shortest-path counts), *flow*
     (the Dinic ``max_flow_min_cut`` vs. the Edmonds–Karp oracle, flow
     value and cut side, incl. capacities beyond int64, plus ``bisection_cut_csr`` vs. the multilevel partitioner
     under a shared RNG stream), ``BallBatch`` sub-CSRs vs. per-ball
@@ -56,7 +58,9 @@ implementations still trustworthy?":
     per-pair DAG walk, entry order and weight bits included).  Plus two
     whole-system legs: the production :class:`~repro.engine.MetricEngine`
     vs. the dict-of-sets :class:`~repro.testing.OracleEngine` across all
-    seven series, and a shared-memory publish/attach/release round-trip
+    seven series, on plain and policy balls and on a streamed PLRG
+    larger than every ``max_ball_size`` (so each center's BFS stops
+    early), and a shared-memory publish/attach/release round-trip
     that must be bitwise lossless and leave ``/dev/shm`` clean.
 ``faults``
     The fault-tolerant runtime (:mod:`repro.runtime`): injected crashes
@@ -656,6 +660,31 @@ def _kernels_csr(rng: random.Random, report: FamilyReport) -> None:
                     "!= dict bfs_distances"
                 )
 
+    # --- reach-bounded BFS: the levels up to the first past the limit -
+    report.checks += 1
+    for s in sources:
+        full = bfs_distances(g, s)
+        cumulative, total = [], 0
+        for depth in range(max(full.values()) + 1):
+            total += sum(1 for d in full.values() if d == depth)
+            cumulative.append(total)
+        limit = rng.choice([0, 1, len(nodes) - 1, len(nodes), rng.choice(cumulative)])
+        stop = next(
+            (depth for depth, c in enumerate(cumulative) if c > limit),
+            len(cumulative) - 1,
+        )
+        dist = kernels.bfs_levels(csr, csr.index_of(s), max_reach=limit)
+        got = {
+            csr.node_at(i): int(d)
+            for i, d in enumerate(dist)
+            if d != kernels.UNREACHED
+        }
+        if got != {v: d for v, d in full.items() if d <= stop}:
+            fail(
+                f"bfs_levels from {s!r} (max_reach={limit}) != dict "
+                f"bfs_distances up to depth {stop}"
+            )
+
     # --- multi-source distance matrix ---------------------------------
     report.checks += 1
     source_idx = [csr.index_of(s) for s in sources]
@@ -796,6 +825,34 @@ def _check_streaming(rng: random.Random, report: FamilyReport) -> None:
         int(v) for v in giant.nodes()
     ) != sorted(int(v) for v in want.nodes()):
         fail("GraphBuilder giant component != largest_connected_component")
+
+    # --- tied giants: a component and its relabelled twin ------------
+    # Random graphs almost never tie for largest, so force a tie: the
+    # twins' labels interleave at random among a few isolated nodes,
+    # and the twin holding the smallest label must win on both paths.
+    report.checks += 1
+    g = random_connected_graph(rng, 1, 8)
+    k = g.number_of_nodes()
+    labels = list(range(2 * k + rng.randint(0, 3)))
+    rng.shuffle(labels)
+    edges = [
+        (labels[u + shift], labels[v + shift])
+        for shift in (0, k)
+        for u, v in g.iter_edges()
+    ]
+    rng.shuffle(edges)
+    twins = Graph()
+    twins.add_nodes_from(range(len(labels)))
+    twins.add_edges_from(edges)
+    builder = GraphBuilder()
+    builder.add_nodes_from(range(len(labels)))
+    builder.add_edges_from(edges)
+    giant = builder.finalize(component="giant")
+    want = largest_connected_component(twins)
+    if _edge_set(giant) != _edge_set(want) or sorted(
+        int(v) for v in giant.nodes()
+    ) != sorted(int(v) for v in want.nodes()):
+        fail("GraphBuilder tied giant component != largest_connected_component")
 
     # --- PLRG draws vs. the per-draw bisect loop and a list shuffle ---
     report.checks += 1
@@ -1091,9 +1148,16 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
     :class:`~repro.testing.OracleEngine` across all seven series, with
     series and ``last_run`` compared by ``repr`` (no epsilon), then the
     six ball metrics on policy balls under random relationships, then
-    the *links* sub-stream.
+    the six on a streamed PLRG larger than their bounds, where each
+    center's BFS stops past the largest bound, then the *links*
+    sub-stream.
     """
+    import numpy as np
+
     from repro.engine import MetricEngine, MetricRequest
+    from repro.generators.builder import GraphBuilder
+    from repro.generators.plrg import plrg
+    from repro.graph import kernels
 
     def fail(msg: str) -> None:
         report.failures.append(CheckFailure(report.family, report.checks, msg))
@@ -1140,6 +1204,31 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
     for name in ball_names:
         if repr(got[name]) != repr(want[name]):
             fail(f"engine policy-ball series {name!r} != OracleEngine series")
+
+    # A ball-only plan stops each center's BFS after the first level
+    # past its largest bound.  A streamed PLRG larger than every bound,
+    # and one bound that equals a level's cumulative size exactly.
+    report.checks += 1
+    big = plrg(rng.randint(300, 600), 2.246, seed=seed, sink=GraphBuilder())
+    center = rng.randrange(big.number_of_nodes())
+    cumulative = np.cumsum(kernels.level_counts(kernels.bfs_levels(big, center)))
+    exact = rng.choice([int(c) for c in cumulative[:-1] if c >= 3] or [1])
+    small, large = sorted(rng.sample(range(10, big.number_of_nodes()), 2))
+    exact_name = rng.choice(ball_names)
+    requests = [
+        MetricRequest(name, centers=[big.node_at(center)], max_ball_size=exact, seed=seed)
+        if name == exact_name
+        else MetricRequest(
+            name, num_centers=2, max_ball_size=rng.choice([small, large]), seed=seed
+        )
+        for name in ball_names
+    ]
+    got, want = engine.compute(big, requests), oracle.compute(big, requests)
+    for name in ball_names:
+        if repr(got[name]) != repr(want[name]):
+            fail(f"engine reach-bounded series {name!r} != OracleEngine series")
+    if repr(engine.last_run) != repr(oracle.last_run):
+        fail("engine reach-bounded last_run != OracleEngine last_run")
 
     _kernels_link_values(rng, report)
 

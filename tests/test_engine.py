@@ -9,6 +9,7 @@ the on-disk cache, and identical to the legacy per-metric functions.
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.engine import (
@@ -18,8 +19,10 @@ from repro.engine import (
     engine_metric_names,
     graph_fingerprint,
 )
+from repro.generators.builder import GraphBuilder
 from repro.generators.canonical import kary_tree, mesh
 from repro.generators.plrg import plrg
+from repro.graph import kernels
 from repro.graph.core import Graph
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import bfs_distances
@@ -107,6 +110,55 @@ def test_csr_engine_matches_dict_oracle(graph_name, graph):
     for metric in LEGACY_FUNCTIONS:
         assert via_csr[metric] == via_dicts[metric], metric
     assert production.last_run == oracle.last_run
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_reach_bounded_bfs_matches_dict_oracle(workers, monkeypatch):
+    # Ball-only plans stop each center's BFS after the first level past
+    # their largest max_ball_size.  On a streamed PLRG larger than every
+    # bound the series and RunReport must still equal the oracle's,
+    # including a bound equal to one level's cumulative size exactly.
+    csr = plrg(3000, 2.246, seed=3, sink=GraphBuilder())
+    center = csr.node_at(0)
+    cumulative = np.cumsum(kernels.level_counts(kernels.bfs_levels(csr, 0)))
+    exact = int(cumulative[cumulative > 900][0])
+    assert exact < csr.number_of_nodes()
+    bounds = {
+        "resilience": 200,
+        "distortion": 200,
+        "vertex_cover": 900,
+        "biconnectivity": 900,
+        "clustering": 900,
+    }
+    requests = [
+        MetricRequest(name, num_centers=3, max_ball_size=bound, seed=2)
+        for name, bound in bounds.items()
+    ]
+    requests.append(
+        MetricRequest("path_length", centers=[center], max_ball_size=exact, seed=2)
+    )
+    reaches = []
+    real_bfs = kernels.bfs_levels
+
+    def spy(csr, source, max_depth=None, **kwargs):
+        dist = real_bfs(csr, source, max_depth, **kwargs)
+        reaches.append((kwargs.get("max_reach"), int((dist >= 0).sum())))
+        return dist
+
+    monkeypatch.setattr(kernels, "bfs_levels", spy)
+    production = engine(workers=workers)
+    got = production.compute(csr, requests)
+    monkeypatch.setattr(kernels, "bfs_levels", real_bfs)
+    oracle = OracleEngine()
+    want = oracle.compute(csr, requests)
+    assert all(got[name] for name in got)
+    assert exact in [size for size, _value in got["path_length"]]
+    assert repr(got) == repr(want)
+    assert production.last_run == oracle.last_run
+    if workers == 0:
+        # Every sweep stopped short of the whole graph.
+        assert sorted({reach for reach, _ in reaches}) == [900, exact]
+        assert all(reached < csr.number_of_nodes() for _, reached in reaches)
 
 
 def policy_topology(name):

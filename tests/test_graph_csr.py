@@ -131,6 +131,18 @@ def test_csr_pickle_roundtrip():
     assert copy.index_of("x") == csr.index_of("x")
 
 
+def test_int64_indptr_is_built_once_read_only_and_never_pickled():
+    csr = Graph([(0, 1), (1, 2)]).freeze()
+    wide = csr.indptr64
+    assert wide.dtype == np.int64 and np.array_equal(wide, csr.indptr)
+    assert csr.indptr64 is wide
+    with pytest.raises(ValueError):
+        wide[0] = 7
+    fresh = Graph([(0, 1), (1, 2)]).freeze()
+    assert pickle.dumps(csr) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(csr))._indptr64 is None
+
+
 def test_csr_graph_compatible_read_api():
     g = Graph([(0, 1), (1, 2), (0, 2), (2, 3)])
     csr = g.freeze()
@@ -193,6 +205,25 @@ def test_bfs_levels_matches_dict_bfs(g, salt):
             if d != kernels.UNREACHED
         }
         assert got == bfs_distances(g, source, max_depth=max_depth)
+
+
+@given(graphs(min_nodes=1, max_nodes=14), st.integers(0, 2**16))
+def test_bfs_levels_max_reach_stops_after_the_level_that_passes_it(g, salt):
+    # Every level up to the first whose cumulative count exceeds the
+    # limit is the unbounded BFS's; every deeper node stays unreached.
+    csr = g.freeze()
+    n = csr.number_of_nodes()
+    source = salt % n
+    full = kernels.bfs_levels(csr, source)
+    cumulative = np.cumsum(kernels.level_counts(full))
+    level_total = int(cumulative[salt % cumulative.size])
+    for limit in (0, 1, n - 1, n, level_total):
+        passed = np.flatnonzero(cumulative > limit)
+        stop = int(passed[0]) if passed.size else cumulative.size - 1
+        want = np.where(full <= stop, full, kernels.UNREACHED)
+        dist = kernels.bfs_levels(csr, source, max_reach=limit)
+        assert dist.dtype == np.int32
+        assert np.array_equal(dist, want), (limit, stop)
 
 
 @given(graphs(min_nodes=2, max_nodes=12))

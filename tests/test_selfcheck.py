@@ -169,8 +169,8 @@ def test_selfcheck_catches_csr_bfs_off_by_one(monkeypatch):
 
     real = kernels.bfs_levels
 
-    def off_by_one(csr, source, max_depth=None):
-        dist = real(csr, source, max_depth=max_depth).copy()
+    def off_by_one(csr, source, max_depth=None, **kwargs):
+        dist = real(csr, source, max_depth=max_depth, **kwargs).copy()
         dist[dist > 0] += 1  # every non-source level shifted one out
         return dist
 
@@ -179,6 +179,34 @@ def test_selfcheck_catches_csr_bfs_off_by_one(monkeypatch):
     assert not report.ok
     messages = " ".join(f.message for f in report.families[0].failures)
     assert "bfs_levels" in messages
+
+
+@pytest.mark.parametrize(
+    "levels,message", [(1, "max_reach"), (2, "engine reach-bounded series")]
+)
+def test_selfcheck_catches_reach_bounded_bfs_stopping_early(
+    monkeypatch, levels, message
+):
+    """A reach-bounded BFS that stops early (it leaves its deepest
+    ``levels`` levels unreached) goes red.  One level early is invisible
+    in the engine's series, since the level past the bound only ends
+    each schedule, so the kernel leg checks the levels themselves; two
+    levels early also lose balls, and the engine leg shows it."""
+    from repro.graph import kernels
+
+    real = kernels.bfs_levels
+
+    def stops_early(csr, source, max_depth=None, *, max_reach=None):
+        dist = real(csr, source, max_depth, max_reach=max_reach).copy()
+        if max_reach is not None and np.count_nonzero(dist >= 0) > max_reach:
+            dist[dist > max(int(dist.max()) - levels, 0)] = kernels.UNREACHED
+        return dist
+
+    monkeypatch.setattr(kernels, "bfs_levels", stops_early)
+    report = run_selfcheck(rounds=5, seed=0, families=["kernels"], out=lambda _: None)
+    assert not report.ok
+    messages = " ".join(f.message for f in report.families[0].failures)
+    assert message in messages
 
 
 def test_selfcheck_catches_csr_ball_off_by_one(monkeypatch):
@@ -432,6 +460,31 @@ def test_selfcheck_catches_builder_chunk_off_by_one(monkeypatch):
         rounds=8, seed=0, families=["streaming"], out=lambda _: None
     )
     assert not report.ok
+
+
+def test_selfcheck_catches_builder_keeping_the_last_tied_giant(monkeypatch):
+    """A ``GraphBuilder.finalize`` that keeps the *last* of two tied
+    largest components must flip the ``streaming`` family red."""
+    from repro.generators import builder as builder_mod
+
+    class LastArgmax:
+        """numpy, except that ``argmax`` picks the last maximum."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def argmax(values):
+            values = np.asarray(values)
+            return values.size - 1 - int(np.argmax(values[::-1]))
+
+    monkeypatch.setattr(builder_mod, "np", LastArgmax())
+    report = run_selfcheck(
+        rounds=10, seed=0, families=["streaming"], out=lambda _: None
+    )
+    assert not report.ok
+    messages = " ".join(f.message for f in report.families[0].failures)
+    assert "tied giant" in messages
 
 
 def _degrees_off_by_one(real):

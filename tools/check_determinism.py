@@ -16,7 +16,12 @@ relabelled ``as<i>`` (string labels, whose hashing differs between the
 two runs), the Section 5 link values of a
 small PLRG and of that AS graph with and without policy routing, and
 the PLRG's ``graph_fingerprint`` in dict and frozen form (the key of
-every cache entry and journal record).  Any drift — RNG seeded off the clock,
+every cache entry and journal record).  It also prints the six
+ball-metric series of a 20,000-node streamed PLRG at their default
+``max_ball_size``, a ball-only pass whose per-center BFS stops once the
+largest bound is passed; the first run computes them serially and the
+second with ``--workers``, so they are compared across worker counts
+too.  Any drift — RNG seeded off the clock,
 dict-ordering or hash-ordering leaks, float nondeterminism — fails the
 build.
 
@@ -36,11 +41,12 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # Printed by a fresh interpreter per run: ``python -c VALUES_SCRIPT
-# WORKERS``.
+# WORKERS REACH_WORKERS``.
 VALUES_SCRIPT = """
 import sys
 
 from repro.engine import METRICS, MetricEngine, MetricRequest, graph_fingerprint
+from repro.generators.builder import GraphBuilder
 from repro.generators.plrg import plrg
 from repro.graph.core import Graph
 from repro.hierarchy import link_values
@@ -89,6 +95,12 @@ for tag, graph, rels in (
 for rels in (None, as_graph.relationships):
     values = link_values(as_graph.graph, rels=rels, seed=1)
     print("as", rels is not None, repr(sorted(values.items())))
+streamed = plrg(20_000, 2.246, seed=1, sink=GraphBuilder())
+reach = MetricEngine(workers=int(sys.argv[2]), use_cache=False).compute(
+    streamed, [MetricRequest(name, seed=1) for name in ball_names]
+)
+for name in ball_names:
+    print("reach-bounded", name, repr(reach[name]))
 """
 
 
@@ -135,8 +147,11 @@ def main() -> int:
                 report = fh.read()
             for metric in ("clustering", "path-length"):
                 report += run_cli(["metric", plrg, metric, *ball_flags], tmp, seed)
+            reach_workers = 0 if i == 1 else opts.workers
             report += run_python(
-                ["-c", VALUES_SCRIPT, str(opts.workers)], tmp, seed
+                ["-c", VALUES_SCRIPT, str(opts.workers), str(reach_workers)],
+                tmp,
+                seed,
             )
             reports.append(report)
 
